@@ -210,71 +210,43 @@ impl VirtualTable {
         Some((source, t1, t2))
     }
 
-    /// Run [`OdhTable::aggregate_range`] on the server(s) holding this
-    /// type and merge the per-server partials.
-    fn aggregate_cluster(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-    ) -> Result<RangeAggregate> {
-        let empty = || RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); tags.len()] };
-        if t1 > t2 {
-            return Ok(empty());
-        }
-        if let Some(sid) = source {
-            // Partition elimination, as in `scan`: one source, one server.
-            let server_idx = match self.router.route_source(sid) {
-                Ok(idx) => idx,
-                // An id that was never registered matches nothing: the
-                // zero-row aggregate.
-                Err(e) if e.kind() == "not_found" => return Ok(empty()),
+    /// The tables an aggregate or scan touches: the one server holding
+    /// `source` (partition elimination — an id that was never registered
+    /// matches nothing), or every server holding this type.
+    fn route(&self, source: Option<SourceId>) -> Result<Vec<Arc<OdhTable>>> {
+        let servers = match source {
+            Some(sid) => match self.router.route_source(sid) {
+                Ok(idx) => vec![idx],
+                Err(e) if e.kind() == "not_found" => Vec::new(),
                 Err(e) => return Err(e),
-            };
-            let table = self.cluster.servers()[server_idx].table(&self.schema_type)?;
-            return table.aggregate_range(Some(sid), t1, t2, tags);
-        }
-        let servers = self.router.route_type(&self.schema_type)?;
-        let mut total = empty();
-        for &idx in &servers {
-            let table = self.cluster.servers()[idx].table(&self.schema_type)?;
-            let part = table.aggregate_range(None, t1, t2, tags)?;
-            total.rows += part.rows;
-            for (a, b) in total.tags.iter_mut().zip(&part.tags) {
-                a.merge(b);
-            }
-        }
-        Ok(total)
+            },
+            None => self.router.route_type(&self.schema_type)?,
+        };
+        servers.iter().map(|&idx| self.cluster.servers()[idx].table(&self.schema_type)).collect()
     }
 
-    /// Run [`OdhTable::bucket_aggregate`] on the server(s) holding this
-    /// type and merge the per-server bucket partials.
-    fn bucket_cluster(
+    /// Run the storage fold on the server(s) holding this type and merge
+    /// the per-server bucket partials: [`OdhTable::bucket_aggregate`], or
+    /// [`OdhTable::aggregate_range`] as one bucket keyed 0 when
+    /// `interval_us` is `None`.
+    fn fold_cluster(
         &self,
         source: Option<SourceId>,
         t1: Timestamp,
         t2: Timestamp,
-        interval_us: i64,
+        interval_us: Option<i64>,
         tags: &[usize],
     ) -> Result<BTreeMap<i64, RangeAggregate>> {
-        if t1 > t2 {
-            return Ok(BTreeMap::new());
-        }
-        if let Some(sid) = source {
-            let server_idx = match self.router.route_source(sid) {
-                Ok(idx) => idx,
-                Err(e) if e.kind() == "not_found" => return Ok(BTreeMap::new()),
-                Err(e) => return Err(e),
-            };
-            let table = self.cluster.servers()[server_idx].table(&self.schema_type)?;
-            return table.bucket_aggregate(Some(sid), t1, t2, interval_us, tags);
-        }
-        let servers = self.router.route_type(&self.schema_type)?;
         let mut total: BTreeMap<i64, RangeAggregate> = BTreeMap::new();
-        for &idx in &servers {
-            let table = self.cluster.servers()[idx].table(&self.schema_type)?;
-            for (start, part) in table.bucket_aggregate(None, t1, t2, interval_us, tags)? {
+        if t1 > t2 {
+            return Ok(total);
+        }
+        for table in self.route(source)? {
+            let parts = match interval_us {
+                Some(iv) => table.bucket_aggregate(source, t1, t2, iv, tags)?,
+                None => BTreeMap::from([(0, table.aggregate_range(source, t1, t2, tags)?)]),
+            };
+            for (start, part) in parts {
                 match total.entry(start) {
                     std::collections::btree_map::Entry::Occupied(mut e) => {
                         let a = e.get_mut();
@@ -290,6 +262,84 @@ impl VirtualTable {
             }
         }
         Ok(total)
+    }
+
+    /// Aggregate pushdown shared by `aggregate_scan` (`interval_us: None`,
+    /// one result row) and `bucket_scan` (one row per non-empty bucket).
+    /// Each aggregate maps to a slot in the folded tag summaries; only
+    /// COUNT(*) and tag-column aggregates are summary-answerable
+    /// (aggregates over id/timestamp decline and fall back to the row
+    /// path), as are only the filters [`Self::agg_bounds`] honors exactly.
+    #[allow(clippy::type_complexity)]
+    fn fold_scan(
+        &self,
+        filters: &[(usize, ColumnFilter)],
+        interval_us: Option<i64>,
+        aggs: &[AggRequest],
+    ) -> Option<Result<Vec<(i64, Vec<Datum>)>>> {
+        let (source, t1, t2) = Self::agg_bounds(filters)?;
+        let mut tags: Vec<usize> = Vec::new();
+        let mut slots: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
+        for a in aggs {
+            match a.input {
+                None if a.func == AggFunc::Count => slots.push(None),
+                Some(c) if c >= 2 && c - 2 < self.tag_count => {
+                    let tag = c - 2;
+                    let pos = tags.iter().position(|&t| t == tag).unwrap_or_else(|| {
+                        tags.push(tag);
+                        tags.len() - 1
+                    });
+                    slots.push(Some(pos));
+                }
+                _ => return None,
+            }
+        }
+        Some((|| {
+            let mut buckets = self.fold_cluster(source, t1, t2, interval_us, &tags)?;
+            if interval_us.is_none() {
+                // A whole-range aggregate is one row even over no rows.
+                buckets.entry(0).or_insert_with(|| RangeAggregate {
+                    rows: 0,
+                    tags: vec![TagSummary::empty(); tags.len()],
+                });
+            }
+            // One result cell's worth of VTI assembly per aggregate.
+            let meter = self.cluster.meter();
+            meter.cpu(meter.costs.vti_cell_assemble * (buckets.len() * aggs.len()) as f64);
+            Ok(buckets
+                .into_iter()
+                .map(|(start, agg)| {
+                    let cells =
+                        aggs.iter().zip(&slots).map(|(a, s)| finalize_agg(a.func, *s, &agg));
+                    (start, cells.collect())
+                })
+                .collect())
+        })())
+    }
+
+    /// Per-server columnar chunks for a scan request: one server for an
+    /// `id =` probe, otherwise a fan-out to every server holding this
+    /// type. With more than one server the per-server scans run
+    /// concurrently on scoped threads.
+    fn server_chunks(&self, req: &ScanRequest, tags: &[usize]) -> Result<Vec<Vec<ColumnarChunk>>> {
+        let (t1, t2) = Self::time_bounds(&req.filters);
+        let ranges = self.tag_ranges(&req.filters);
+        let source = Self::id_eq(&req.filters);
+        let only: Option<HashSet<SourceId>> = source.map(|sid| [sid].into_iter().collect());
+        let tables = self.route(source)?;
+        let scan = |t: &Arc<OdhTable>| t.scan_columnar(t1, t2, tags, only.as_ref(), &ranges);
+        if tables.len() <= 1 {
+            return tables.iter().map(scan).collect();
+        }
+        for t in &tables {
+            t.concurrency().note_fanout_scan();
+            t.concurrency().note_parallel_tasks(1);
+        }
+        self.cluster.meter().note_parallel(tables.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = tables.iter().map(|t| scope.spawn(move || scan(t))).collect();
+            handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
+        })
     }
 
     /// Convert one storage chunk into a SQL column batch: id and
@@ -420,117 +470,27 @@ impl TableProvider for VirtualTable {
     }
 
     fn scan(&self, req: &ScanRequest) -> Result<Vec<Row>> {
+        // Each server's chunks pivot to `(ts, id)`-sorted rows; merging
+        // them keeps parallel and serial execution order-identical.
         let tags = self.needed_tags(&req.needed);
-        let (t1, t2) = Self::time_bounds(&req.filters);
-        if let Some(source) = Self::id_eq(&req.filters) {
-            // Partition elimination: one source, one server. An id that
-            // was never registered simply matches nothing.
-            let server_idx = match self.router.route_source(source) {
-                Ok(idx) => idx,
-                Err(e) if e.kind() == "not_found" => return Ok(Vec::new()),
-                Err(e) => return Err(e),
-            };
-            let table = self.cluster.servers()[server_idx].table(&self.schema_type)?;
-            let ranges = self.tag_ranges(&req.filters);
-            let points = table.historical_scan_filtered(source, t1, t2, &tags, &ranges)?;
-            return Ok(self.assemble(points, &tags));
-        }
-        // Fan out a slice scan to the servers holding this type. With more
-        // than one server involved, the per-server scans run concurrently
-        // on scoped threads; results are merged in (ts, id) order either
-        // way, so parallel and serial execution are order-identical.
-        let servers = self.router.route_type(&self.schema_type)?;
-        let ranges = self.tag_ranges(&req.filters);
-        let tables: Vec<Arc<OdhTable>> = servers
-            .iter()
-            .map(|&idx| self.cluster.servers()[idx].table(&self.schema_type))
-            .collect::<Result<_>>()?;
-        let per_server: Vec<Vec<ScanPoint>> = if tables.len() > 1 {
-            for t in &tables {
-                t.concurrency().note_fanout_scan();
-                t.concurrency().note_parallel_tasks(1);
-            }
-            self.cluster.meter().note_parallel(tables.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = tables
-                    .iter()
-                    .map(|t| scope.spawn(|| t.slice_scan_filtered(t1, t2, &tags, None, &ranges)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scan worker panicked"))
-                    .collect::<Result<Vec<_>>>()
-            })?
-        } else {
-            tables
-                .iter()
-                .map(|t| t.slice_scan_filtered(t1, t2, &tags, None, &ranges))
-                .collect::<Result<_>>()?
-        };
-        Ok(self.assemble(merge_sorted(per_server), &tags))
+        let per_server = self.server_chunks(req, &tags)?.into_iter().map(ColumnarChunk::pivot);
+        Ok(self.assemble(merge_sorted(per_server.collect()), &tags))
     }
 
     fn scan_columnar(&self, req: &ScanRequest) -> Option<Result<ColumnarScan>> {
         let tags = self.needed_tags(&req.needed);
-        let (t1, t2) = Self::time_bounds(&req.filters);
-        let ranges = self.tag_ranges(&req.filters);
-        Some((|| {
-            let meter = self.cluster.meter();
-            if let Some(source) = Self::id_eq(&req.filters) {
-                // Partition elimination, as in `scan`.
-                let server_idx = match self.router.route_source(source) {
-                    Ok(idx) => idx,
-                    Err(e) if e.kind() == "not_found" => {
-                        return Ok(ColumnarScan { batches: Vec::new() })
-                    }
-                    Err(e) => return Err(e),
-                };
-                let table = self.cluster.servers()[server_idx].table(&self.schema_type)?;
-                let only: HashSet<SourceId> = [source].into_iter().collect();
-                let chunks = table.scan_columnar(t1, t2, &tags, Some(&only), &ranges)?;
-                let batches: Vec<ColumnBatch> =
-                    chunks.into_iter().map(|c| self.chunk_to_batch(c, &tags)).collect();
-                meter.cpu(meter.costs.vti_cell_assemble * batches.len() as f64);
-                return Ok(ColumnarScan { batches });
-            }
-            // Concurrent fan-out, as in `scan`. No global merge: batch
-            // order does not matter to vectorized aggregation, and LAST
-            // orders batches itself by their time range.
-            let servers = self.router.route_type(&self.schema_type)?;
-            let tables: Vec<Arc<OdhTable>> = servers
-                .iter()
-                .map(|&idx| self.cluster.servers()[idx].table(&self.schema_type))
-                .collect::<Result<_>>()?;
-            let per_server: Vec<Vec<ColumnarChunk>> = if tables.len() > 1 {
-                for t in &tables {
-                    t.concurrency().note_fanout_scan();
-                    t.concurrency().note_parallel_tasks(1);
-                }
-                meter.note_parallel(tables.len());
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = tables
-                        .iter()
-                        .map(|t| scope.spawn(|| t.scan_columnar(t1, t2, &tags, None, &ranges)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("scan worker panicked"))
-                        .collect::<Result<Vec<_>>>()
-                })?
-            } else {
-                tables
-                    .iter()
-                    .map(|t| t.scan_columnar(t1, t2, &tags, None, &ranges))
-                    .collect::<Result<_>>()?
-            };
+        Some(self.server_chunks(req, &tags).map(|per_server| {
+            // No global merge: batch order does not matter to vectorized
+            // aggregation, and LAST orders batches itself by time range.
             let batches: Vec<ColumnBatch> =
                 per_server.into_iter().flatten().map(|c| self.chunk_to_batch(c, &tags)).collect();
             // Columnar batches skip the per-cell VTI row assembly the
             // paper measures at >80% of query time — that is the point.
             // One batch-level touch stands in for the handoff.
+            let meter = self.cluster.meter();
             meter.cpu(meter.costs.vti_cell_assemble * batches.len() as f64);
-            Ok(ColumnarScan { batches })
-        })())
+            ColumnarScan { batches }
+        }))
     }
 
     fn bucket_scan(
@@ -544,42 +504,7 @@ impl TableProvider for VirtualTable {
         if bucket_col != 1 || interval_us <= 0 {
             return None;
         }
-        let (source, t1, t2) = Self::agg_bounds(filters)?;
-        // Same slot mapping as `aggregate_scan`: COUNT(*) plus
-        // tag-column aggregates; anything else declines.
-        let mut tags: Vec<usize> = Vec::new();
-        let mut slots: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            match a.input {
-                None if a.func == AggFunc::Count => slots.push(None),
-                Some(c) if c >= 2 && c - 2 < self.tag_count => {
-                    let tag = c - 2;
-                    let pos = tags.iter().position(|&t| t == tag).unwrap_or_else(|| {
-                        tags.push(tag);
-                        tags.len() - 1
-                    });
-                    slots.push(Some(pos));
-                }
-                _ => return None,
-            }
-        }
-        Some((|| {
-            let buckets = self.bucket_cluster(source, t1, t2, interval_us, &tags)?;
-            let meter = self.cluster.meter();
-            meter.cpu(meter.costs.vti_cell_assemble * (buckets.len() * aggs.len()) as f64);
-            Ok(buckets
-                .into_iter()
-                .map(|(start, agg)| {
-                    (
-                        start,
-                        aggs.iter()
-                            .zip(&slots)
-                            .map(|(a, s)| finalize_agg(a.func, *s, &agg))
-                            .collect(),
-                    )
-                })
-                .collect())
-        })())
+        self.fold_scan(filters, Some(interval_us), aggs)
     }
 
     fn aggregate_scan(
@@ -587,33 +512,8 @@ impl TableProvider for VirtualTable {
         filters: &[(usize, ColumnFilter)],
         aggs: &[AggRequest],
     ) -> Option<Result<Vec<Datum>>> {
-        let (source, t1, t2) = Self::agg_bounds(filters)?;
-        // Map each aggregate to a slot in the folded tag summaries; only
-        // COUNT(*) and tag-column aggregates are summary-answerable
-        // (aggregates over id/timestamp fall back to the row path).
-        let mut tags: Vec<usize> = Vec::new();
-        let mut slots: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            match a.input {
-                None if a.func == AggFunc::Count => slots.push(None),
-                Some(c) if c >= 2 && c - 2 < self.tag_count => {
-                    let tag = c - 2;
-                    let pos = tags.iter().position(|&t| t == tag).unwrap_or_else(|| {
-                        tags.push(tag);
-                        tags.len() - 1
-                    });
-                    slots.push(Some(pos));
-                }
-                _ => return None,
-            }
-        }
-        Some((|| {
-            let agg = self.aggregate_cluster(source, t1, t2, &tags)?;
-            // One result row's worth of VTI assembly.
-            let meter = self.cluster.meter();
-            meter.cpu(meter.costs.vti_cell_assemble * aggs.len() as f64);
-            Ok(aggs.iter().zip(&slots).map(|(a, s)| finalize_agg(a.func, *s, &agg)).collect())
-        })())
+        let rows = self.fold_scan(filters, None, aggs)?;
+        Some(rows.map(|mut rows| rows.pop().map(|(_, cells)| cells).unwrap_or_default()))
     }
 
     fn estimate_aggregate_cost(&self, filters: &[(usize, ColumnFilter)]) -> Option<f64> {
@@ -677,14 +577,11 @@ impl TableProvider for VirtualTable {
             // metadata SQL.
             let server = self.cluster.server_for(&self.schema_type, source);
             let table = server.table(&self.schema_type)?;
-            let points = match table.historical_scan(source, Timestamp::MIN, Timestamp::MAX, &tags)
-            {
-                Ok(p) => p,
-                // Unregistered join key: no matches.
-                Err(e) if e.kind() == "not_found" => Vec::new(),
-                Err(e) => return Err(e),
-            };
-            Ok(self.assemble(points, &tags))
+            // An unregistered join key matches nothing.
+            let only = [source].into_iter().collect();
+            let chunks =
+                table.scan_columnar(Timestamp::MIN, Timestamp::MAX, &tags, Some(&only), &[])?;
+            Ok(self.assemble(ColumnarChunk::pivot(chunks), &tags))
         })())
     }
 }

@@ -257,10 +257,29 @@ impl Batch {
                 let source = SourceId(varint::read_u64(buf, &mut pos)?);
                 let begin = varint::read_i64(buf, &mut pos)?;
                 let interval = varint::read_i64(buf, &mut pos)?;
-                let count = varint::read_u64(buf, &mut pos)? as u32;
+                let count = varint::read_u64(buf, &mut pos)?;
                 let summaries =
                     if tag == T_RTS2 { Some(read_summaries(buf, &mut pos)?) } else { None };
                 let blob = ValueBlob { bytes: buf[pos..].to_vec() };
+                // Heap pages carry no checksum, so the header is checked
+                // against the blob: `count` is what COUNT(*) summaries and
+                // cache allocations trust, and `begin + (count-1)·interval`
+                // must not overflow where `end()` computes it.
+                let blob_rows = blob.n_points()?;
+                let count = u32::try_from(count)
+                    .ok()
+                    .filter(|&c| c as usize == blob_rows)
+                    .ok_or_else(|| {
+                        OdhError::Corrupt(format!("RTS record: count {count}, blob {blob_rows}"))
+                    })?;
+                (count.max(1) as i64 - 1)
+                    .checked_mul(interval)
+                    .and_then(|span| begin.checked_add(span))
+                    .ok_or_else(|| {
+                        OdhError::Corrupt(format!(
+                            "RTS record: {count} rows from {begin} every {interval} overflow"
+                        ))
+                    })?;
                 Ok(Batch::Rts(RtsBatch { source, begin, interval, count, blob, summaries }))
             }
             T_IRTS | T_IRTS2 => {

@@ -36,6 +36,9 @@ impl OdhTable {
             let mut g = self.mg.write();
             std::mem::replace(&mut *g, fresh)
         };
+        // Flag first: from here on rewritten batches may land under
+        // per-source keys, and reads of MG sources must look there.
+        self.reorganized.store(true, std::sync::atomic::Ordering::Release);
         let batches = old.scan_all()?;
         // Regroup rows per source.
         let tag_count = self.schema().tag_count();
@@ -107,7 +110,6 @@ impl OdhTable {
                 start = end;
             }
         }
-        self.reorganized.store(true, std::sync::atomic::Ordering::Release);
         // The drained generation is unreachable (its container id is
         // retired with it); evict its decode-cache entries so the budget
         // goes back to live batches. Done last: concurrent scans that

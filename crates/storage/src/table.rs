@@ -9,7 +9,7 @@
 use crate::batch::{summarize_columns, Batch, IrtsBatch, MgBatch, RtsBatch, TagSummary};
 use crate::blob::ValueBlob;
 use crate::buffer::{MgBuffer, SourceBuffer};
-use crate::cache::{CachedBatch, DecodeCache};
+use crate::cache::{CachedBatch, DecodeCache, SharedCol};
 use crate::container::Container;
 use crate::delete::{masks_batch, masks_row, DeletePredicate, Tombstone};
 use crate::seal::{JobKind, PendingSeal, SealPipeline, Wake};
@@ -219,12 +219,9 @@ pub struct RangeAggregate {
 }
 
 impl RangeAggregate {
-    /// Fold one row of projected values (from an open ingest buffer).
-    fn add_row(&mut self, values: &[Option<f64>]) {
-        self.rows += 1;
-        for (s, &v) in self.tags.iter_mut().zip(values) {
-            s.add(v);
-        }
+    /// The aggregate of no rows over `tags` tag columns.
+    fn empty(tags: usize) -> RangeAggregate {
+        RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); tags] }
     }
 }
 
@@ -257,6 +254,23 @@ impl ColumnarChunk {
 
     pub fn is_empty(&self) -> bool {
         self.ts.is_empty()
+    }
+
+    /// The rows consumer: pivot chunks into points ordered by
+    /// `(ts, source)` — the row form of [`OdhTable::scan_columnar`].
+    pub fn pivot(chunks: Vec<ColumnarChunk>) -> Vec<ScanPoint> {
+        let mut out = Vec::with_capacity(chunks.iter().map(ColumnarChunk::len).sum());
+        for ch in chunks {
+            for (row, &t) in ch.ts.iter().enumerate() {
+                out.push(ScanPoint {
+                    source: ch.source.unwrap_or_else(|| ch.ids.as_ref().expect("MG ids")[row]),
+                    ts: Timestamp(t),
+                    values: ch.cols.iter().map(|c| c[ch.start + row]).collect(),
+                });
+            }
+        }
+        out.sort_unstable_by_key(|p| (p.ts, p.source));
+        out
     }
 
     /// Non-NULL values in the chunk (what `points_scanned` counts).
@@ -445,7 +459,7 @@ pub struct OdhTable {
     pub(crate) compact_lock: parking_lot::Mutex<()>,
     /// Background compactor, set once by [`OdhTable::start_compactor`].
     pub(crate) compactor: std::sync::OnceLock<crate::compact::CompactorHandle>,
-    /// Set once [`OdhTable::reorganize`] has run: slice scans must then also
+    /// Set once [`OdhTable::reorganize`] starts: reads must then also
     /// consult the per-source containers for MG sources.
     pub(crate) reorganized: std::sync::atomic::AtomicBool,
     pub(crate) stats: StorageStats,
@@ -1493,110 +1507,345 @@ impl OdhTable {
         t2: Timestamp,
         tags: &[usize],
     ) -> Result<Vec<ScanPoint>> {
-        self.historical_scan_filtered(source, t1, t2, tags, &[])
+        self.registry.require(source)?;
+        let only = [source].into_iter().collect();
+        Ok(ColumnarChunk::pivot(self.scan_columnar(t1, t2, tags, Some(&only), &[])?))
     }
 
-    /// [`OdhTable::historical_scan`] with **tag zone-map pruning**: batches
-    /// whose per-tag zone bounds cannot intersect every `(tag, lo, hi)`
-    /// range are skipped without decoding their blobs — the paper's §6
-    /// future work ("proper indexing to reduce BLOB scanning for queries
-    /// on attribute values"). Rows are still emitted unfiltered (callers
-    /// re-apply exact predicates); pruning only removes batches that can
-    /// contain no match.
-    pub fn historical_scan_filtered(
+    /// Slice query: points of many sources within a short window
+    /// (Table 1's second column), in `(ts, source)` order. `sources`:
+    /// optional restriction.
+    pub fn slice_scan(
         &self,
-        source: SourceId,
         t1: Timestamp,
         t2: Timestamp,
         tags: &[usize],
-        tag_ranges: &[(usize, f64, f64)],
+        sources: Option<&HashSet<SourceId>>,
     ) -> Result<Vec<ScanPoint>> {
+        Ok(ColumnarChunk::pivot(self.scan_columnar(t1, t2, tags, sources, &[])?))
+    }
+
+    /// Columnar scan: the rows in `[t1, t2]` (optionally restricted to
+    /// `sources`) surfaced as [`ColumnarChunk`]s — one per sealed batch
+    /// (tag columns shared zero-copy with the decode cache) plus owned
+    /// chunks for open ingest buffers and queued seals. Chunks arrive in
+    /// walk order, not global timestamp order; rows within a sealed chunk
+    /// ascend by timestamp. `tag_ranges` zone-prunes whole sealed batches
+    /// by their header bounds — the paper's §6 future work ("proper
+    /// indexing to reduce BLOB scanning for queries on attribute values").
+    /// Pruning only removes batches that can hold no match, so callers
+    /// re-apply exact predicates.
+    pub fn scan_columnar(
+        &self,
+        t1: Timestamp,
+        t2: Timestamp,
+        tags: &[usize],
+        sources: Option<&HashSet<SourceId>>,
+        tag_ranges: &[(usize, f64, f64)],
+    ) -> Result<Vec<ColumnarChunk>> {
+        let scope = Scope {
+            t1: t1.micros(),
+            t2: t2.micros(),
+            tags,
+            sources,
+            tag_ranges,
+            every_batch: false,
+        };
         let out = self.read_consistent(|t, tally| {
-            t.historical_scan_once(source, t1, t2, tags, tag_ranges, tally)
+            let mut out = Vec::new();
+            t.walk(&scope, tally, |tally, part| {
+                out.extend(t.chunk(part, tags, tally)?);
+                Ok(())
+            })?;
+            Ok(out)
         })?;
-        self.note_scan(&out);
+        self.stats.points_scanned.add(out.iter().map(ColumnarChunk::points).sum());
         Ok(out)
     }
 
-    /// One optimistic pass of [`OdhTable::historical_scan_filtered`]; only
-    /// valid if no seal overlapped it (see [`SealSync`]).
-    #[allow(clippy::too_many_arguments)]
-    fn historical_scan_once(
+    /// Aggregate `tags` over `[t1, t2]` (optionally one `source`) without
+    /// materializing rows: [`OdhTable::bucket_aggregate`] with a single
+    /// bucket. Equivalent to folding the rows of the matching scan, except
+    /// that floating-point sums may associate differently (per-batch
+    /// partials instead of row order).
+    pub fn aggregate_range(
         &self,
-        source: SourceId,
+        source: Option<SourceId>,
         t1: Timestamp,
         t2: Timestamp,
         tags: &[usize],
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-    ) -> Result<Vec<ScanPoint>> {
-        let meta = self.registry.require(source)?;
-        let (t1, t2) = (self.clamp_retention(t1.micros()), t2.micros());
-        let mut out = Vec::new();
+    ) -> Result<RangeAggregate> {
+        let mut one = self.fold(source, t1, t2, None, tags)?;
+        Ok(one.remove(&0).unwrap_or_else(|| RangeAggregate::empty(tags.len())))
+    }
 
-        // Per-source generations. The compactor may re-type a merged
-        // window (an RTS run whose merge spans a gap re-seals as IRTS),
-        // so both hot generations are consulted regardless of source
-        // class, plus the cold generation for demoted history; descents
-        // into a generation holding nothing for this source cost a
-        // header-cheap index probe.
-        for (container, cold) in &self.read_gens() {
-            if container.record_count() == 0 {
-                continue;
-            }
-            self.scan_source_container(
-                container, *cold, source, t1, t2, tags, tag_ranges, tally, &mut out,
-            )?;
+    /// Bucketed aggregate over `interval_us`-wide time buckets keyed by
+    /// `ts.div_euclid(interval_us) * interval_us`.
+    pub fn bucket_aggregate(
+        &self,
+        source: Option<SourceId>,
+        t1: Timestamp,
+        t2: Timestamp,
+        interval_us: i64,
+        tags: &[usize],
+    ) -> Result<BTreeMap<i64, RangeAggregate>> {
+        if interval_us <= 0 {
+            return Err(OdhError::Config(format!(
+                "bucket interval must be positive, got {interval_us}"
+            )));
         }
-        // Low-frequency sources may also have not-yet-reorganized MG data.
-        if meta.ingest == Structure::Mg {
-            let mg = self.mg.read().clone();
-            let filter: HashSet<SourceId> = [source].into_iter().collect();
-            self.scan_mg_container(
-                &mg,
-                meta.group,
-                t1,
-                t2,
-                tags,
-                Some(&filter),
-                tag_ranges,
-                tally,
-                &mut out,
-            )?;
-            let g = self.buffers.lock_mg(meta.group.0);
-            if let Some(buf) = g.get(&meta.group.0) {
-                for (id, ts, values) in buf.rows_in_range(t1, t2, tags, Some(source)) {
-                    out.push(ScanPoint { source: id, ts: Timestamp(ts), values });
-                }
-            }
-        } else {
-            {
-                let g = self.buffers.lock_source(source.0);
-                if let Some(buf) = g.get(&source.0) {
-                    for (ts, values) in buf.rows_in_range(t1, t2, tags) {
-                        out.push(ScanPoint { source, ts: Timestamp(ts), values });
+        self.fold(source, t1, t2, Some(interval_us), tags)
+    }
+
+    /// The fold consumer behind both aggregates (`interval: None` is one
+    /// bucket keyed 0). A sealed batch is answered straight from its
+    /// seal-time [`TagSummary`] block when every row is in scope (see
+    /// [`Part::Sealed`]) and its rows land in one bucket — a summary can
+    /// neither subtract masked or foreign rows nor split across buckets,
+    /// which is the whole pushdown-soundness rule. Everything else folds
+    /// its kept rows one by one.
+    fn fold(
+        &self,
+        source: Option<SourceId>,
+        t1: Timestamp,
+        t2: Timestamp,
+        interval: Option<i64>,
+        tags: &[usize],
+    ) -> Result<BTreeMap<i64, RangeAggregate>> {
+        if let Some(sid) = source {
+            self.registry.require(sid)?;
+        }
+        let only: Option<HashSet<SourceId>> = source.map(|sid| [sid].into_iter().collect());
+        let scope = Scope {
+            t1: t1.micros(),
+            t2: t2.micros(),
+            tags,
+            sources: only.as_ref(),
+            tag_ranges: &[],
+            every_batch: source.is_none(),
+        };
+        let bucket = |t: i64| interval.map_or(0, |iv| t.div_euclid(iv) * iv);
+        self.read_consistent(|t, tally| {
+            let mut map: BTreeMap<i64, RangeAggregate> = BTreeMap::new();
+            t.walk(&scope, tally, |tally, part| {
+                if let Part::Sealed { entry, whole: true, .. } = &part {
+                    let (b0, b1) = entry.batch.time_range();
+                    if let (true, Some(sums)) = (bucket(b0) == bucket(b1), entry.batch.summaries())
+                    {
+                        let agg = map
+                            .entry(bucket(b0))
+                            .or_insert_with(|| RangeAggregate::empty(tags.len()));
+                        agg.rows += entry.batch.n_points() as u64;
+                        for (s, &tag) in agg.tags.iter_mut().zip(tags) {
+                            s.merge(&sums[tag]);
+                        }
+                        tally.summary_answered_batches += 1;
+                        return Ok(());
                     }
                 }
-            }
-            // Late rows waiting in the side buffer are as visible as any
-            // open-buffer row (dirty-read isolation).
-            let g = self.side_buffers.lock_source(source.0);
-            if let Some(buf) = g.get(&source.0) {
-                for (ts, values) in buf.rows_in_range(t1, t2, tags) {
-                    out.push(ScanPoint { source, ts: Timestamp(ts), values });
+                match part {
+                    Part::Sealed { entry, rows, .. } => {
+                        let cols = t.project_cached(&entry, tags, tally)?;
+                        fold_rows(&mut map, bucket, &entry.ts, &cols, rows.iter());
+                    }
+                    Part::Open(ch) => fold_rows(&mut map, bucket, &ch.ts, &ch.cols, 0..ch.len()),
+                }
+                Ok(())
+            })?;
+            Ok(map)
+        })
+    }
+
+    /// The chunks consumer: a part's kept rows as one [`ColumnarChunk`].
+    /// A sealed span stays a zero-copy window into the decode cache; a
+    /// sparse pick is packed into owned columns. The decode is paid (and
+    /// charged) even when no row survives, as the batch's header said it
+    /// might.
+    fn chunk(
+        &self,
+        part: Part,
+        tags: &[usize],
+        tally: &mut ReadTally,
+    ) -> Result<Option<ColumnarChunk>> {
+        let (entry, rows) = match part {
+            Part::Open(ch) => return Ok(Some(ch)),
+            Part::Sealed { entry, rows, .. } => (entry, rows),
+        };
+        let cols = self.project_cached(&entry, tags, tally)?;
+        let (source, ids) = match &entry.batch {
+            Batch::Mg(b) => (None, Some(&b.ids)),
+            b => (b.source(), None),
+        };
+        Ok(match rows {
+            Rows::Span(lo, hi) if lo < hi => Some(ColumnarChunk {
+                source,
+                ids: ids.map(|ids| ids[lo..hi].to_vec()),
+                ts: entry.ts[lo..hi].to_vec(),
+                cols,
+                start: lo,
+            }),
+            Rows::Pick(pick) if !pick.is_empty() => Some(ColumnarChunk {
+                source,
+                ids: ids.map(|ids| pick.iter().map(|&r| ids[r]).collect()),
+                ts: pick.iter().map(|&r| entry.ts[r]).collect(),
+                cols: cols.iter().map(|c| Arc::new(pick.iter().map(|&r| c[r]).collect())).collect(),
+                start: 0,
+            }),
+            _ => None,
+        })
+    }
+
+    /// The one read walk. Every location a row can live in is visited
+    /// here, in a fixed order, and nowhere else:
+    ///
+    /// 1. the per-source generations — RTS, IRTS, then cold (which
+    ///    bypasses the decode cache) — keyed by source;
+    /// 2. the MG container, keyed by group;
+    /// 3. each per-source open buffer, then its side buffer of late rows;
+    /// 4. each MG group's open buffer;
+    /// 5. seal jobs taken off a buffer but not yet installed.
+    ///
+    /// Buffers and queued jobs are as visible as sealed batches — the
+    /// dirty-read isolation of §3. The retention clamp, the time reject,
+    /// zone pruning, the source filter and tombstone masking are applied
+    /// here too, so a consumer sees only rows in scope. Must run under
+    /// [`OdhTable::read_consistent`].
+    fn walk(
+        &self,
+        scope: &Scope,
+        tally: &mut ReadTally,
+        mut sink: impl FnMut(&mut ReadTally, Part) -> Result<()>,
+    ) -> Result<()> {
+        let s = &Scope { t1: self.clamp_retention(scope.t1), ..*scope };
+        let tombs = self.tombstones();
+        // Reorganized MG history lives under per-source keys too.
+        let reorganized = self.reorganized.load(std::sync::atomic::Ordering::Acquire);
+        let (per_source, groups) = self.registry.partition(s.sources, reorganized);
+        let mut reached = Vec::new();
+        for (container, cold) in self.read_gens() {
+            let by_source = |i: usize| KeyBuf::new().push_u64(per_source[i].0);
+            let rids = self.reach(&container, per_source.len(), by_source, s)?;
+            reached.push((container, cold, rids));
+        }
+        let mg = self.mg.read().clone();
+        let rids = self.reach(&mg, groups.len(), |i| KeyBuf::new().push_u32(groups[i]), s)?;
+        reached.push((mg, false, rids));
+        for (container, cold, rids) in reached {
+            for rid in rids {
+                if let Some(part) = self.sealed(s, &tombs, &container, rid, cold, tally)? {
+                    sink(tally, part)?;
                 }
             }
         }
-        // Rows handed to the seal pipeline but not yet installed are merged
-        // like open buffers — dirty-read isolation covers the queue too.
+        // Open runs are packed under their shard lock and handed on after.
+        let mut open = Vec::new();
+        for &sid in &per_source {
+            let mut pack = |buf: Option<&SourceBuffer>| {
+                let rows = buf?.rows_in_range(s.t1, s.t2, s.tags).map(|(t, v)| (sid, t, v));
+                open_chunk(s, &tombs, tally, Some(sid), rows)
+            };
+            open.extend(pack(self.buffers.lock_source(sid.0).get(&sid.0)));
+            open.extend(pack(self.side_buffers.lock_source(sid.0).get(&sid.0)));
+        }
+        for gid in groups {
+            let g = self.buffers.lock_mg(gid);
+            let rows = g.get(&gid).map(|b| b.rows_in_range(s.t1, s.t2, s.tags, None));
+            open.extend(rows.and_then(|rows| open_chunk(s, &tombs, tally, None, rows)));
+        }
         for job in self.pending_seals() {
-            for (id, ts, values) in job.rows_in_range(t1, t2, tags, Some(source)) {
-                out.push(ScanPoint { source: id, ts: Timestamp(ts), values });
+            let rows = job.rows_in_range(s.t1, s.t2, s.tags, None);
+            open.extend(open_chunk(s, &tombs, tally, None, rows));
+        }
+        for ch in open {
+            sink(tally, Part::Open(ch))?;
+        }
+        Ok(())
+    }
+
+    /// The batch records of `container` a scope reaches through `keys`
+    /// key prefixes (source or group ids; `key(i)` builds the i-th): one
+    /// index descent per key, or one sequential walk when the keys
+    /// outnumber the records (early life, scaled runs) or the scope asks
+    /// for [`Scope::every_batch`].
+    fn reach(
+        &self,
+        container: &Container,
+        keys: usize,
+        key: impl Fn(usize) -> KeyBuf,
+        s: &Scope,
+    ) -> Result<Vec<u64>> {
+        let records = container.record_count();
+        if records == 0 || keys == 0 {
+            return Ok(Vec::new());
+        }
+        if s.every_batch || keys as u64 > records {
+            self.meter.cpu(self.meter.costs.buffer_hit * records as f64);
+            return container.all_rids();
+        }
+        let mut rids = Vec::new();
+        for i in 0..keys {
+            // A batch reaching `t1` begins no earlier than `t1 - max_span`.
+            let lo = key(i).push_i64(s.t1.saturating_sub(container.max_span())).build();
+            let hi = key(i).push_i64(s.t2).build();
+            self.meter.cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
+            rids.extend(container.rids_in_range(&lo, &hi)?);
+        }
+        Ok(rids)
+    }
+
+    /// Fetch one sealed batch and decide, from its header alone, whether
+    /// and which of its rows are in scope.
+    fn sealed(
+        &self,
+        s: &Scope,
+        tombs: &[Tombstone],
+        container: &Container,
+        rid: u64,
+        cold: bool,
+        tally: &mut ReadTally,
+    ) -> Result<Option<Part>> {
+        let entry = self.fetch_cached(container, rid, cold, tally)?;
+        let batch = &entry.batch;
+        let (b_begin, b_end) = batch.time_range();
+        if b_end < s.t1 || b_begin > s.t2 {
+            return Ok(None);
+        }
+        // Zone-map pruning: a conjunctive tag range that cannot intersect
+        // this batch's bounds (or hits an all-NULL column, which no
+        // comparison matches) rules the whole batch out — header-only
+        // work, applied on cache hits too.
+        for &(tag, lo, hi) in s.tag_ranges {
+            if batch.blob().tag_bounds(tag)?.is_none_or(|(min, max)| max < lo || min > hi) {
+                tally.batches_zone_pruned += 1;
+                return Ok(None);
             }
         }
-        self.mask_points(tally, &mut out);
-        out.sort_unstable_by_key(|p| p.ts);
-        Ok(out)
+        if let (Some(f), Some(source)) = (s.sources, batch.source()) {
+            if !f.contains(&source) {
+                return Ok(None);
+            }
+        }
+        // A filtered MG batch interleaves foreign sources, and a tombstone
+        // over the batch may mask rows inside it: both need a row pick.
+        let filtered_mg = s.sources.is_some() && batch.source().is_none();
+        let tombstoned = masks_batch(tombs, batch.source(), b_begin, b_end);
+        let whole = b_begin >= s.t1 && b_end <= s.t2 && !filtered_mg && !tombstoned;
+        // Seal sorts rows by timestamp, so the in-range span is contiguous.
+        let lo = entry.ts.partition_point(|&t| t < s.t1);
+        let hi = entry.ts.partition_point(|&t| t <= s.t2).max(lo);
+        let mut rows = Rows::Span(lo, hi);
+        if filtered_mg || tombstoned {
+            let row_source = |r: usize| match batch {
+                Batch::Mg(b) => b.ids[r],
+                b => b.source().expect("per-source batch"),
+            };
+            let pick: Vec<usize> =
+                (lo..hi).filter(|&r| keeps(s, tombs, tally, row_source(r), entry.ts[r])).collect();
+            if pick.len() < hi - lo {
+                rows = Rows::Pick(pick);
+            }
+        }
+        Ok(Some(Part::Sealed { entry, rows, whole }))
     }
 
     /// Run one optimistic read pass under the seal seqlock, retrying until
@@ -1636,434 +1885,6 @@ impl OdhTable {
                 return out;
             }
         }
-    }
-
-    /// Slice query: points of many sources within a short window
-    /// (Table 1's second column). `sources`: optional restriction.
-    pub fn slice_scan(
-        &self,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-        sources: Option<&HashSet<SourceId>>,
-    ) -> Result<Vec<ScanPoint>> {
-        self.slice_scan_filtered(t1, t2, tags, sources, &[])
-    }
-
-    /// [`OdhTable::slice_scan`] with tag zone-map pruning (see
-    /// [`OdhTable::historical_scan_filtered`]).
-    pub fn slice_scan_filtered(
-        &self,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-        sources: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
-    ) -> Result<Vec<ScanPoint>> {
-        let out = self.read_consistent(|t, tally| {
-            t.slice_scan_once(t1, t2, tags, sources, tag_ranges, tally)
-        })?;
-        self.note_scan(&out);
-        Ok(out)
-    }
-
-    /// One optimistic pass of [`OdhTable::slice_scan_filtered`]; only valid
-    /// if no seal overlapped it (see [`SealSync`]).
-    fn slice_scan_once(
-        &self,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-        sources: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-    ) -> Result<Vec<ScanPoint>> {
-        let (t1, t2) = (self.clamp_retention(t1.micros()), t2.micros());
-        let mut out = Vec::new();
-        // Partition registered sources by slice structure (reorganized
-        // MG history lives in per-source batches).
-        let reorganized = self.reorganized.load(std::sync::atomic::Ordering::Acquire);
-        let (per_source, mg_groups) = self.registry.partition(sources, reorganized);
-        // Per-source index descents pay off when a few sources carry long
-        // histories (many batch records each — the steady state at paper
-        // scale). When the source population outnumbers the batch records
-        // (early life, scaled runs), one sequential container scan with
-        // time pruning is strictly cheaper than N descents.
-        for (container, cold) in &self.read_gens() {
-            if per_source.is_empty() || container.record_count() == 0 {
-                continue;
-            }
-            if (per_source.len() as u64) > container.record_count() {
-                self.meter.cpu(self.meter.costs.buffer_hit * container.record_count() as f64);
-                for rid in container.all_rids()? {
-                    let entry = self.fetch_cached(container, rid, *cold, tally)?;
-                    self.emit_cached(&entry, t1, t2, tags, sources, tag_ranges, tally, &mut out)?;
-                }
-            } else {
-                for sid in &per_source {
-                    self.scan_source_container(
-                        container, *cold, *sid, t1, t2, tags, tag_ranges, tally, &mut out,
-                    )?;
-                }
-            }
-        }
-        for sid in &per_source {
-            {
-                let g = self.buffers.lock_source(sid.0);
-                if let Some(buf) = g.get(&sid.0) {
-                    for (ts, values) in buf.rows_in_range(t1, t2, tags) {
-                        out.push(ScanPoint { source: *sid, ts: Timestamp(ts), values });
-                    }
-                }
-            }
-            let g = self.side_buffers.lock_source(sid.0);
-            if let Some(buf) = g.get(&sid.0) {
-                for (ts, values) in buf.rows_in_range(t1, t2, tags) {
-                    out.push(ScanPoint { source: *sid, ts: Timestamp(ts), values });
-                }
-            }
-        }
-        let mg = self.mg.read().clone();
-        for gid in mg_groups {
-            self.scan_mg_container(
-                &mg,
-                GroupId(gid),
-                t1,
-                t2,
-                tags,
-                sources,
-                tag_ranges,
-                tally,
-                &mut out,
-            )?;
-            let g = self.buffers.lock_mg(gid);
-            if let Some(buf) = g.get(&gid) {
-                for (id, ts, values) in buf.rows_in_range(t1, t2, tags, None) {
-                    if sources.is_none_or(|f| f.contains(&id)) {
-                        out.push(ScanPoint { source: id, ts: Timestamp(ts), values });
-                    }
-                }
-            }
-        }
-        // Queued-but-unsealed rows (see historical_scan_once).
-        for job in self.pending_seals() {
-            for (id, ts, values) in job.rows_in_range(t1, t2, tags, None) {
-                if sources.is_none_or(|f| f.contains(&id)) {
-                    out.push(ScanPoint { source: id, ts: Timestamp(ts), values });
-                }
-            }
-        }
-        self.mask_points(tally, &mut out);
-        out.sort_unstable_by_key(|p| (p.ts, p.source));
-        Ok(out)
-    }
-
-    /// Columnar slice scan: the rows of [`OdhTable::slice_scan`] surfaced
-    /// as [`ColumnarChunk`]s — one per sealed batch (tag columns shared
-    /// zero-copy with the decode cache) plus owned chunks for open ingest
-    /// buffers and queued seals. Chunks arrive in container order, not
-    /// global timestamp order; rows within a sealed chunk ascend by
-    /// timestamp. Vectorized SQL execution re-applies residual filters,
-    /// so no per-row filtering happens here beyond the time clip and the
-    /// optional `sources` restriction — but `tag_ranges` still zone-prunes
-    /// whole sealed batches by their header bounds, exactly like
-    /// [`OdhTable::slice_scan_filtered`] (pruning only removes batches
-    /// that can contain no match, so residual re-checks stay sound).
-    pub fn scan_columnar(
-        &self,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-        sources: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
-    ) -> Result<Vec<ColumnarChunk>> {
-        let out = self.read_consistent(|t, tally| {
-            t.scan_columnar_once(t1, t2, tags, sources, tag_ranges, tally)
-        })?;
-        let points: u64 = out.iter().map(ColumnarChunk::points).sum();
-        self.stats.points_scanned.add(points);
-        Ok(out)
-    }
-
-    /// One optimistic pass of [`OdhTable::scan_columnar`]; only valid if
-    /// no seal overlapped it (see [`SealSync`]).
-    fn scan_columnar_once(
-        &self,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-        sources: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-    ) -> Result<Vec<ColumnarChunk>> {
-        let (t1, t2) = (self.clamp_retention(t1.micros()), t2.micros());
-        let mut out = Vec::new();
-        let reorganized = self.reorganized.load(std::sync::atomic::Ordering::Acquire);
-        let (per_source, mg_groups) = self.registry.partition(sources, reorganized);
-        // Same sequential-vs-descent choice as `slice_scan_once`.
-        for (container, cold) in &self.read_gens() {
-            if per_source.is_empty() || container.record_count() == 0 {
-                continue;
-            }
-            if (per_source.len() as u64) > container.record_count() {
-                self.meter.cpu(self.meter.costs.buffer_hit * container.record_count() as f64);
-                for rid in container.all_rids()? {
-                    let entry = self.fetch_cached(container, rid, *cold, tally)?;
-                    self.emit_columnar(&entry, t1, t2, tags, sources, tag_ranges, tally, &mut out)?;
-                }
-            } else {
-                for sid in &per_source {
-                    let lo = KeyBuf::new()
-                        .push_u64(sid.0)
-                        .push_i64(t1.saturating_sub(container.max_span()))
-                        .build();
-                    let hi = KeyBuf::new().push_u64(sid.0).push_i64(t2).build();
-                    self.meter
-                        .cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-                    for rid in container.rids_in_range(&lo, &hi)? {
-                        let entry = self.fetch_cached(container, rid, *cold, tally)?;
-                        self.emit_columnar(
-                            &entry, t1, t2, tags, None, tag_ranges, tally, &mut out,
-                        )?;
-                    }
-                }
-            }
-        }
-        for sid in &per_source {
-            {
-                let g = self.buffers.lock_source(sid.0);
-                if let Some(buf) = g.get(&sid.0) {
-                    let rows = buf.rows_in_range(t1, t2, tags).map(|(t, v)| (None, t, v));
-                    out.extend(owned_chunk(tags.len(), Some(*sid), rows));
-                }
-            }
-            let g = self.side_buffers.lock_source(sid.0);
-            if let Some(buf) = g.get(&sid.0) {
-                let rows = buf.rows_in_range(t1, t2, tags).map(|(t, v)| (None, t, v));
-                out.extend(owned_chunk(tags.len(), Some(*sid), rows));
-            }
-        }
-        let mg = self.mg.read().clone();
-        for gid in mg_groups {
-            let lo = KeyBuf::new().push_u32(gid).push_i64(t1.saturating_sub(mg.max_span())).build();
-            let hi = KeyBuf::new().push_u32(gid).push_i64(t2).build();
-            self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-            for rid in mg.rids_in_range(&lo, &hi)? {
-                let entry = self.fetch_cached(&mg, rid, false, tally)?;
-                self.emit_columnar(&entry, t1, t2, tags, sources, tag_ranges, tally, &mut out)?;
-            }
-            let g = self.buffers.lock_mg(gid);
-            if let Some(buf) = g.get(&gid) {
-                let rows = buf
-                    .rows_in_range(t1, t2, tags, None)
-                    .filter(|(id, _, _)| sources.is_none_or(|f| f.contains(id)))
-                    .map(|(id, t, v)| (Some(id), t, v));
-                out.extend(owned_chunk(tags.len(), None, rows));
-            }
-        }
-        for job in self.pending_seals() {
-            let rows = job
-                .rows_in_range(t1, t2, tags, None)
-                .filter(|(id, _, _)| sources.is_none_or(|f| f.contains(id)))
-                .map(|(id, t, v)| (Some(id), t, v));
-            out.extend(owned_chunk(tags.len(), None, rows));
-        }
-        self.mask_chunks(tally, &mut out);
-        Ok(out)
-    }
-
-    /// Drop tombstoned rows from a row-scan result, counting the masked
-    /// rows into the tally.
-    fn mask_points(&self, tally: &mut ReadTally, out: &mut Vec<ScanPoint>) {
-        let tombs = self.tombstones();
-        if tombs.is_empty() {
-            return;
-        }
-        let before = out.len();
-        out.retain(|p| !masks_row(&tombs, p.source, p.ts.micros()));
-        tally.tombstone_masked_rows += (before - out.len()) as u64;
-    }
-
-    /// Drop tombstoned rows from columnar chunks. A chunk with no masked
-    /// rows passes through untouched (zero-copy with the decode cache is
-    /// preserved); a partially-masked chunk is rebuilt as owned columns.
-    fn mask_chunks(&self, tally: &mut ReadTally, out: &mut Vec<ColumnarChunk>) {
-        let tombs = self.tombstones();
-        if tombs.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < out.len() {
-            let ch = &out[i];
-            let masked: Vec<bool> = ch
-                .ts
-                .iter()
-                .enumerate()
-                .map(|(row, &t)| {
-                    let src = ch.source.unwrap_or_else(|| ch.ids.as_ref().unwrap()[row]);
-                    masks_row(&tombs, src, t)
-                })
-                .collect();
-            let n_masked = masked.iter().filter(|&&m| m).count();
-            if n_masked == 0 {
-                i += 1;
-                continue;
-            }
-            tally.tombstone_masked_rows += n_masked as u64;
-            if n_masked == ch.len() {
-                out.remove(i);
-                continue;
-            }
-            let keep: Vec<usize> = (0..ch.len()).filter(|&r| !masked[r]).collect();
-            let ts: Vec<i64> = keep.iter().map(|&r| ch.ts[r]).collect();
-            let ids = ch.ids.as_ref().map(|ids| keep.iter().map(|&r| ids[r]).collect());
-            let cols = ch
-                .cols
-                .iter()
-                .map(|c| Arc::new(keep.iter().map(|&r| c[ch.start + r]).collect::<Vec<_>>()))
-                .collect();
-            out[i] = ColumnarChunk { source: ch.source, ids, ts, cols, start: 0 };
-            i += 1;
-        }
-    }
-
-    /// Emit a cached batch's in-range span as one [`ColumnarChunk`].
-    #[allow(clippy::too_many_arguments)]
-    fn emit_columnar(
-        &self,
-        entry: &Arc<CachedBatch>,
-        t1: i64,
-        t2: i64,
-        tags: &[usize],
-        filter: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-        out: &mut Vec<ColumnarChunk>,
-    ) -> Result<()> {
-        let batch = &entry.batch;
-        let (b_begin, b_end) = batch.time_range();
-        if b_end < t1 || b_begin > t2 {
-            return Ok(());
-        }
-        // Zone-map pruning, identical to `emit_cached`: a conjunctive tag
-        // range that cannot intersect this batch's header bounds (or hits
-        // an all-NULL column) rules the batch out without decoding.
-        for &(tag, lo, hi) in tag_ranges {
-            match batch.blob().tag_bounds(tag)? {
-                None => {
-                    tally.batches_zone_pruned += 1;
-                    return Ok(());
-                }
-                Some((bmin, bmax)) => {
-                    if bmax < lo || bmin > hi {
-                        tally.batches_zone_pruned += 1;
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        if let (Some(f), Some(source)) = (filter, batch.source()) {
-            if !f.contains(&source) {
-                return Ok(());
-            }
-        }
-        let cols = self.project_cached(entry, tags, tally)?;
-        // Seal sorts rows by timestamp, so the in-range span is contiguous.
-        let lo = entry.ts.partition_point(|&t| t < t1);
-        let hi = entry.ts.partition_point(|&t| t <= t2);
-        if lo >= hi {
-            return Ok(());
-        }
-        match batch {
-            Batch::Mg(b) => {
-                if let Some(f) = filter {
-                    // A filtered MG batch interleaves foreign sources;
-                    // keep matching rows only (decode is already paid).
-                    let rows = (lo..hi).filter(|&row| f.contains(&b.ids[row])).map(|row| {
-                        (
-                            Some(b.ids[row]),
-                            entry.ts[row],
-                            cols.iter().map(|c| c[row]).collect::<Vec<_>>(),
-                        )
-                    });
-                    out.extend(owned_chunk(tags.len(), None, rows));
-                } else {
-                    out.push(ColumnarChunk {
-                        source: None,
-                        ids: Some(b.ids[lo..hi].to_vec()),
-                        ts: entry.ts[lo..hi].to_vec(),
-                        cols,
-                        start: lo,
-                    });
-                }
-            }
-            Batch::Rts(b) => out.push(ColumnarChunk {
-                source: Some(b.source),
-                ids: None,
-                ts: entry.ts[lo..hi].to_vec(),
-                cols,
-                start: lo,
-            }),
-            Batch::Irts(b) => out.push(ColumnarChunk {
-                source: Some(b.source),
-                ids: None,
-                ts: entry.ts[lo..hi].to_vec(),
-                cols,
-                start: lo,
-            }),
-        }
-        Ok(())
-    }
-
-    /// Scan one per-source container for `source` over `[t1, t2]`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_source_container(
-        &self,
-        container: &Container,
-        cold: bool,
-        source: SourceId,
-        t1: i64,
-        t2: i64,
-        tags: &[usize],
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-        out: &mut Vec<ScanPoint>,
-    ) -> Result<()> {
-        let lo = KeyBuf::new()
-            .push_u64(source.0)
-            .push_i64(t1.saturating_sub(container.max_span()))
-            .build();
-        let hi = KeyBuf::new().push_u64(source.0).push_i64(t2).build();
-        self.meter.cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-        for rid in container.rids_in_range(&lo, &hi)? {
-            let entry = self.fetch_cached(container, rid, cold, tally)?;
-            self.emit_cached(&entry, t1, t2, tags, None, tag_ranges, tally, out)?;
-        }
-        Ok(())
-    }
-
-    /// Scan the MG container for one group over `[t1, t2]`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_mg_container(
-        &self,
-        mg: &Container,
-        group: GroupId,
-        t1: i64,
-        t2: i64,
-        tags: &[usize],
-        filter: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-        out: &mut Vec<ScanPoint>,
-    ) -> Result<()> {
-        let lo = KeyBuf::new().push_u32(group.0).push_i64(t1.saturating_sub(mg.max_span())).build();
-        let hi = KeyBuf::new().push_u32(group.0).push_i64(t2).build();
-        self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-        for rid in mg.rids_in_range(&lo, &hi)? {
-            let entry = self.fetch_cached(mg, rid, false, tally)?;
-            self.emit_cached(&entry, t1, t2, tags, filter, tag_ranges, tally, out)?;
-        }
-        Ok(())
     }
 
     /// Fetch a sealed batch through the decode cache: a hit returns the
@@ -2127,669 +1948,6 @@ impl OdhTable {
             self.meter.cpu(self.meter.costs.buffer_hit);
         }
         Ok(cols)
-    }
-
-    /// Emit the rows of a cached batch within `[t1, t2]` into `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_cached(
-        &self,
-        entry: &Arc<CachedBatch>,
-        t1: i64,
-        t2: i64,
-        tags: &[usize],
-        filter: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-        out: &mut Vec<ScanPoint>,
-    ) -> Result<()> {
-        let batch = &entry.batch;
-        let (b_begin, b_end) = batch.time_range();
-        if b_end < t1 || b_begin > t2 {
-            return Ok(());
-        }
-        // Zone-map pruning: a conjunctive tag range that cannot intersect
-        // this batch's bounds (or hits an all-NULL column, which no
-        // comparison matches) rules the whole batch out — header-only
-        // work. Applied on cache hits too, so the cached path emits
-        // exactly what the uncached path would.
-        for &(tag, lo, hi) in tag_ranges {
-            match batch.blob().tag_bounds(tag)? {
-                None => {
-                    tally.batches_zone_pruned += 1;
-                    return Ok(());
-                }
-                Some((bmin, bmax)) => {
-                    if bmax < lo || bmin > hi {
-                        tally.batches_zone_pruned += 1;
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        if let (Some(f), Some(source)) = (filter, batch.source()) {
-            if !f.contains(&source) {
-                return Ok(());
-            }
-        }
-        let cols = self.project_cached(entry, tags, tally)?;
-        match batch {
-            Batch::Mg(b) => {
-                for (row, &t) in entry.ts.iter().enumerate() {
-                    if t < t1 || t > t2 {
-                        continue;
-                    }
-                    let id = b.ids[row];
-                    if let Some(f) = filter {
-                        if !f.contains(&id) {
-                            continue;
-                        }
-                    }
-                    out.push(ScanPoint {
-                        source: id,
-                        ts: Timestamp(t),
-                        values: cols.iter().map(|c| c[row]).collect(),
-                    });
-                }
-            }
-            Batch::Rts(b) => emit_rows(&entry.ts, &cols, b.source, t1, t2, out),
-            Batch::Irts(b) => emit_rows(&entry.ts, &cols, b.source, t1, t2, out),
-        }
-        Ok(())
-    }
-
-    /// Aggregate `tags` over `[t1, t2]` (optionally one `source`) without
-    /// materializing rows. Batches fully covered by the range — and not
-    /// subject to a source filter their summaries cannot express — are
-    /// answered straight from their seal-time [`TagSummary`] block;
-    /// everything else (boundary batches, filtered MG groups, pre-v2
-    /// records) pays decode through the cache. Open ingest buffers are
-    /// folded in row-by-row (the same dirty-read isolation scans give).
-    ///
-    /// Equivalent to folding the rows of the matching scan, except that
-    /// floating-point sums may associate differently (per-batch partials
-    /// instead of row order).
-    pub fn aggregate_range(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-    ) -> Result<RangeAggregate> {
-        self.read_consistent(|t, tally| t.aggregate_range_once(source, t1, t2, tags, tally))
-    }
-
-    /// One optimistic pass of [`OdhTable::aggregate_range`]; only valid if
-    /// no seal overlapped it (see [`SealSync`]).
-    fn aggregate_range_once(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-        tally: &mut ReadTally,
-    ) -> Result<RangeAggregate> {
-        let (t1, t2) = (self.clamp_retention(t1.micros()), t2.micros());
-        let tombs = self.tombstones();
-        let mut agg = RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); tags.len()] };
-        match source {
-            Some(sid) => {
-                let meta = self.registry.require(sid)?;
-                // All per-source generations (see `historical_scan_once`).
-                for (container, cold) in &self.read_gens() {
-                    if container.record_count() == 0 {
-                        continue;
-                    }
-                    let lo = KeyBuf::new()
-                        .push_u64(sid.0)
-                        .push_i64(t1.saturating_sub(container.max_span()))
-                        .build();
-                    let hi = KeyBuf::new().push_u64(sid.0).push_i64(t2).build();
-                    self.meter
-                        .cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-                    for rid in container.rids_in_range(&lo, &hi)? {
-                        self.aggregate_batch(
-                            container, rid, *cold, t1, t2, tags, None, &tombs, tally, &mut agg,
-                        )?;
-                    }
-                }
-                if meta.ingest == Structure::Mg {
-                    let mg = self.mg.read().clone();
-                    let filter: HashSet<SourceId> = [sid].into_iter().collect();
-                    let lo = KeyBuf::new()
-                        .push_u32(meta.group.0)
-                        .push_i64(t1.saturating_sub(mg.max_span()))
-                        .build();
-                    let hi = KeyBuf::new().push_u32(meta.group.0).push_i64(t2).build();
-                    self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-                    for rid in mg.rids_in_range(&lo, &hi)? {
-                        self.aggregate_batch(
-                            &mg,
-                            rid,
-                            false,
-                            t1,
-                            t2,
-                            tags,
-                            Some(&filter),
-                            &tombs,
-                            tally,
-                            &mut agg,
-                        )?;
-                    }
-                    let g = self.buffers.lock_mg(meta.group.0);
-                    if let Some(buf) = g.get(&meta.group.0) {
-                        for (_, t, values) in buf.rows_in_range(t1, t2, tags, Some(sid)) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            agg.add_row(&values);
-                        }
-                    }
-                } else {
-                    {
-                        let g = self.buffers.lock_source(sid.0);
-                        if let Some(buf) = g.get(&sid.0) {
-                            for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                                if masks_row(&tombs, sid, t) {
-                                    tally.tombstone_masked_rows += 1;
-                                    continue;
-                                }
-                                agg.add_row(&values);
-                            }
-                        }
-                    }
-                    let g = self.side_buffers.lock_source(sid.0);
-                    if let Some(buf) = g.get(&sid.0) {
-                        for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            agg.add_row(&values);
-                        }
-                    }
-                }
-                for job in self.pending_seals() {
-                    for (_, t, values) in job.rows_in_range(t1, t2, tags, Some(sid)) {
-                        if masks_row(&tombs, sid, t) {
-                            tally.tombstone_masked_rows += 1;
-                            continue;
-                        }
-                        agg.add_row(&values);
-                    }
-                }
-            }
-            None => {
-                // Whole-table aggregate: walk every sealed batch (the time
-                // reject in `aggregate_batch` skips non-intersecting ones
-                // at header cost) plus every open buffer.
-                for (container, cold) in &self.read_gens() {
-                    if container.record_count() == 0 {
-                        continue;
-                    }
-                    self.meter
-                        .cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-                    for rid in container.all_rids()? {
-                        self.aggregate_batch(
-                            container, rid, *cold, t1, t2, tags, None, &tombs, tally, &mut agg,
-                        )?;
-                    }
-                }
-                let mg = self.mg.read().clone();
-                if mg.record_count() > 0 {
-                    self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-                    for rid in mg.all_rids()? {
-                        self.aggregate_batch(
-                            &mg, rid, false, t1, t2, tags, None, &tombs, tally, &mut agg,
-                        )?;
-                    }
-                }
-                let (per_source, groups) = self.registry.partition(None, false);
-                for sid in per_source {
-                    {
-                        let g = self.buffers.lock_source(sid.0);
-                        if let Some(buf) = g.get(&sid.0) {
-                            for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                                if masks_row(&tombs, sid, t) {
-                                    tally.tombstone_masked_rows += 1;
-                                    continue;
-                                }
-                                agg.add_row(&values);
-                            }
-                        }
-                    }
-                    let g = self.side_buffers.lock_source(sid.0);
-                    if let Some(buf) = g.get(&sid.0) {
-                        for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            agg.add_row(&values);
-                        }
-                    }
-                }
-                for gid in groups {
-                    let g = self.buffers.lock_mg(gid);
-                    if let Some(buf) = g.get(&gid) {
-                        for (id, t, values) in buf.rows_in_range(t1, t2, tags, None) {
-                            if masks_row(&tombs, id, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            agg.add_row(&values);
-                        }
-                    }
-                }
-                for job in self.pending_seals() {
-                    for (id, t, values) in job.rows_in_range(t1, t2, tags, None) {
-                        if masks_row(&tombs, id, t) {
-                            tally.tombstone_masked_rows += 1;
-                            continue;
-                        }
-                        agg.add_row(&values);
-                    }
-                }
-            }
-        }
-        Ok(agg)
-    }
-
-    /// Fold one sealed batch into `agg`: summary fast path when the range
-    /// fully covers the batch, no per-row filter applies, and no tombstone
-    /// could mask a row (a summary cannot subtract deleted rows — the
-    /// pushdown-soundness rule); cached decode otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn aggregate_batch(
-        &self,
-        container: &Container,
-        rid: u64,
-        cold: bool,
-        t1: i64,
-        t2: i64,
-        tags: &[usize],
-        filter: Option<&HashSet<SourceId>>,
-        tombs: &[Tombstone],
-        tally: &mut ReadTally,
-        agg: &mut RangeAggregate,
-    ) -> Result<()> {
-        let entry = self.fetch_cached(container, rid, cold, tally)?;
-        let batch = &entry.batch;
-        let (b_begin, b_end) = batch.time_range();
-        if b_end < t1 || b_begin > t2 {
-            return Ok(());
-        }
-        if let (Some(f), Some(source)) = (filter, batch.source()) {
-            if !f.contains(&source) {
-                return Ok(());
-            }
-        }
-        let fully_covered = b_begin >= t1 && b_end <= t2;
-        let filtered_mg = filter.is_some() && batch.source().is_none();
-        let tombstoned = masks_batch(tombs, batch.source(), b_begin, b_end);
-        if fully_covered && !filtered_mg && !tombstoned {
-            if let Some(sums) = batch.summaries() {
-                agg.rows += batch.n_points() as u64;
-                for (i, &tag) in tags.iter().enumerate() {
-                    agg.tags[i].merge(&sums[tag]);
-                }
-                tally.summary_answered_batches += 1;
-                return Ok(());
-            }
-        }
-        let cols = self.project_cached(&entry, tags, tally)?;
-        match batch {
-            Batch::Mg(b) => {
-                for (row, &t) in entry.ts.iter().enumerate() {
-                    if t < t1 || t > t2 {
-                        continue;
-                    }
-                    let id = b.ids[row];
-                    if let Some(f) = filter {
-                        if !f.contains(&id) {
-                            continue;
-                        }
-                    }
-                    if tombstoned && masks_row(tombs, id, t) {
-                        tally.tombstone_masked_rows += 1;
-                        continue;
-                    }
-                    agg.rows += 1;
-                    for (i, col) in cols.iter().enumerate() {
-                        agg.tags[i].add(col[row]);
-                    }
-                }
-            }
-            _ => {
-                // Per-source batch: `source()` is always `Some` here.
-                let src = batch.source();
-                for (row, &t) in entry.ts.iter().enumerate() {
-                    if t < t1 || t > t2 {
-                        continue;
-                    }
-                    if tombstoned && src.is_some_and(|s| masks_row(tombs, s, t)) {
-                        tally.tombstone_masked_rows += 1;
-                        continue;
-                    }
-                    agg.rows += 1;
-                    for (i, col) in cols.iter().enumerate() {
-                        agg.tags[i].add(col[row]);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Bucketed aggregate: [`OdhTable::aggregate_range`] split into
-    /// `interval_us`-wide time buckets keyed by
-    /// `ts.div_euclid(interval_us) * interval_us`. Sealed batches whose
-    /// rows land entirely inside one bucket — and that a source filter
-    /// cannot misattribute — are answered straight from their seal-time
-    /// summaries; batches straddling a bucket edge decode through the
-    /// cache and fold row-by-row. Open ingest buffers and queued seals
-    /// fold in per row (dirty-read isolation, as everywhere else).
-    pub fn bucket_aggregate(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        interval_us: i64,
-        tags: &[usize],
-    ) -> Result<BTreeMap<i64, RangeAggregate>> {
-        if interval_us <= 0 {
-            return Err(OdhError::Config(format!(
-                "bucket interval must be positive, got {interval_us}"
-            )));
-        }
-        self.read_consistent(|t, tally| {
-            t.bucket_aggregate_once(source, t1, t2, interval_us, tags, tally)
-        })
-    }
-
-    /// One optimistic pass of [`OdhTable::bucket_aggregate`]; only valid
-    /// if no seal overlapped it (see [`SealSync`]).
-    fn bucket_aggregate_once(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        interval_us: i64,
-        tags: &[usize],
-        tally: &mut ReadTally,
-    ) -> Result<BTreeMap<i64, RangeAggregate>> {
-        let (t1, t2) = (self.clamp_retention(t1.micros()), t2.micros());
-        let tombs = self.tombstones();
-        let mut map = BTreeMap::new();
-        match source {
-            Some(sid) => {
-                let meta = self.registry.require(sid)?;
-                // All per-source generations (see `historical_scan_once`).
-                for (container, cold) in &self.read_gens() {
-                    if container.record_count() == 0 {
-                        continue;
-                    }
-                    let lo = KeyBuf::new()
-                        .push_u64(sid.0)
-                        .push_i64(t1.saturating_sub(container.max_span()))
-                        .build();
-                    let hi = KeyBuf::new().push_u64(sid.0).push_i64(t2).build();
-                    self.meter
-                        .cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-                    for rid in container.rids_in_range(&lo, &hi)? {
-                        self.bucket_batch(
-                            container,
-                            rid,
-                            *cold,
-                            t1,
-                            t2,
-                            interval_us,
-                            tags,
-                            None,
-                            &tombs,
-                            tally,
-                            &mut map,
-                        )?;
-                    }
-                }
-                if meta.ingest == Structure::Mg {
-                    let mg = self.mg.read().clone();
-                    let filter: HashSet<SourceId> = [sid].into_iter().collect();
-                    let lo = KeyBuf::new()
-                        .push_u32(meta.group.0)
-                        .push_i64(t1.saturating_sub(mg.max_span()))
-                        .build();
-                    let hi = KeyBuf::new().push_u32(meta.group.0).push_i64(t2).build();
-                    self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-                    for rid in mg.rids_in_range(&lo, &hi)? {
-                        self.bucket_batch(
-                            &mg,
-                            rid,
-                            false,
-                            t1,
-                            t2,
-                            interval_us,
-                            tags,
-                            Some(&filter),
-                            &tombs,
-                            tally,
-                            &mut map,
-                        )?;
-                    }
-                    let g = self.buffers.lock_mg(meta.group.0);
-                    if let Some(buf) = g.get(&meta.group.0) {
-                        for (_, t, values) in buf.rows_in_range(t1, t2, tags, Some(sid)) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                        }
-                    }
-                } else {
-                    {
-                        let g = self.buffers.lock_source(sid.0);
-                        if let Some(buf) = g.get(&sid.0) {
-                            for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                                if masks_row(&tombs, sid, t) {
-                                    tally.tombstone_masked_rows += 1;
-                                    continue;
-                                }
-                                bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                            }
-                        }
-                    }
-                    let g = self.side_buffers.lock_source(sid.0);
-                    if let Some(buf) = g.get(&sid.0) {
-                        for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                        }
-                    }
-                }
-                for job in self.pending_seals() {
-                    for (_, t, values) in job.rows_in_range(t1, t2, tags, Some(sid)) {
-                        if masks_row(&tombs, sid, t) {
-                            tally.tombstone_masked_rows += 1;
-                            continue;
-                        }
-                        bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                    }
-                }
-            }
-            None => {
-                for (container, cold) in &self.read_gens() {
-                    if container.record_count() == 0 {
-                        continue;
-                    }
-                    self.meter
-                        .cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-                    for rid in container.all_rids()? {
-                        self.bucket_batch(
-                            container,
-                            rid,
-                            *cold,
-                            t1,
-                            t2,
-                            interval_us,
-                            tags,
-                            None,
-                            &tombs,
-                            tally,
-                            &mut map,
-                        )?;
-                    }
-                }
-                let mg = self.mg.read().clone();
-                if mg.record_count() > 0 {
-                    self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-                    for rid in mg.all_rids()? {
-                        self.bucket_batch(
-                            &mg,
-                            rid,
-                            false,
-                            t1,
-                            t2,
-                            interval_us,
-                            tags,
-                            None,
-                            &tombs,
-                            tally,
-                            &mut map,
-                        )?;
-                    }
-                }
-                let (per_source, groups) = self.registry.partition(None, false);
-                for sid in per_source {
-                    {
-                        let g = self.buffers.lock_source(sid.0);
-                        if let Some(buf) = g.get(&sid.0) {
-                            for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                                if masks_row(&tombs, sid, t) {
-                                    tally.tombstone_masked_rows += 1;
-                                    continue;
-                                }
-                                bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                            }
-                        }
-                    }
-                    let g = self.side_buffers.lock_source(sid.0);
-                    if let Some(buf) = g.get(&sid.0) {
-                        for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                        }
-                    }
-                }
-                for gid in groups {
-                    let g = self.buffers.lock_mg(gid);
-                    if let Some(buf) = g.get(&gid) {
-                        for (id, t, values) in buf.rows_in_range(t1, t2, tags, None) {
-                            if masks_row(&tombs, id, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                        }
-                    }
-                }
-                for job in self.pending_seals() {
-                    for (id, t, values) in job.rows_in_range(t1, t2, tags, None) {
-                        if masks_row(&tombs, id, t) {
-                            tally.tombstone_masked_rows += 1;
-                            continue;
-                        }
-                        bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                    }
-                }
-            }
-        }
-        Ok(map)
-    }
-
-    /// Fold one sealed batch into per-bucket aggregates: summary fast path
-    /// when the batch is fully covered, unfiltered, untombstoned, and
-    /// spans one bucket; cached decode otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn bucket_batch(
-        &self,
-        container: &Container,
-        rid: u64,
-        cold: bool,
-        t1: i64,
-        t2: i64,
-        interval_us: i64,
-        tags: &[usize],
-        filter: Option<&HashSet<SourceId>>,
-        tombs: &[Tombstone],
-        tally: &mut ReadTally,
-        map: &mut BTreeMap<i64, RangeAggregate>,
-    ) -> Result<()> {
-        let entry = self.fetch_cached(container, rid, cold, tally)?;
-        let batch = &entry.batch;
-        let (b_begin, b_end) = batch.time_range();
-        if b_end < t1 || b_begin > t2 {
-            return Ok(());
-        }
-        if let (Some(f), Some(source)) = (filter, batch.source()) {
-            if !f.contains(&source) {
-                return Ok(());
-            }
-        }
-        let fully_covered = b_begin >= t1 && b_end <= t2;
-        let filtered_mg = filter.is_some() && batch.source().is_none();
-        let single_bucket = b_begin.div_euclid(interval_us) == b_end.div_euclid(interval_us);
-        let tombstoned = masks_batch(tombs, batch.source(), b_begin, b_end);
-        if fully_covered && !filtered_mg && single_bucket && !tombstoned {
-            if let Some(sums) = batch.summaries() {
-                let slot = bucket_slot(map, interval_us, tags.len(), b_begin);
-                slot.rows += batch.n_points() as u64;
-                for (i, &tag) in tags.iter().enumerate() {
-                    slot.tags[i].merge(&sums[tag]);
-                }
-                tally.summary_answered_batches += 1;
-                return Ok(());
-            }
-        }
-        let cols = self.project_cached(&entry, tags, tally)?;
-        let ids = match batch {
-            Batch::Mg(b) => Some(&b.ids),
-            _ => None,
-        };
-        // Per-source batches resolve every row to the batch's source.
-        let bsrc = batch.source().unwrap_or(SourceId(u64::MAX));
-        for (row, &t) in entry.ts.iter().enumerate() {
-            if t < t1 || t > t2 {
-                continue;
-            }
-            if let (Some(f), Some(ids)) = (filter, ids) {
-                if !f.contains(&ids[row]) {
-                    continue;
-                }
-            }
-            if tombstoned {
-                let src = match ids {
-                    Some(ids) => ids[row],
-                    None => bsrc,
-                };
-                if masks_row(tombs, src, t) {
-                    tally.tombstone_masked_rows += 1;
-                    continue;
-                }
-            }
-            let slot = bucket_slot(map, interval_us, tags.len(), t);
-            slot.rows += 1;
-            for (i, col) in cols.iter().enumerate() {
-                slot.tags[i].add(col[row]);
-            }
-        }
-        Ok(())
     }
 
     /// The decoded-batch cache (benchmarks clear it to measure cold runs).
@@ -2887,12 +2045,6 @@ impl OdhTable {
         self.cold_gen().record_count()
     }
 
-    fn note_scan(&self, out: &[ScanPoint]) {
-        let points: u64 =
-            out.iter().map(|p| p.values.iter().filter(|v| v.is_some()).count() as u64).sum();
-        self.stats.points_scanned.add(points);
-    }
-
     /// On-disk footprint of the live generations (hot + cold + MG).
     pub fn size_bytes(&self) -> u64 {
         let [rts, irts] = self.hot_gens();
@@ -2930,42 +2082,107 @@ impl Drop for OdhTable {
     }
 }
 
-/// Emit the in-range rows of one per-source batch.
-fn emit_rows(
-    ts: &[i64],
-    cols: &[Arc<Vec<Option<f64>>>],
-    source: SourceId,
+/// What one read pass covers: a closed time range (µs), the tags to
+/// project, an optional source restriction, and tag ranges for zone-map
+/// pruning.
+struct Scope<'a> {
     t1: i64,
     t2: i64,
-    out: &mut Vec<ScanPoint>,
-) {
-    for (row, &t) in ts.iter().enumerate() {
-        if t < t1 || t > t2 {
-            continue;
-        }
-        out.push(ScanPoint {
-            source,
-            ts: Timestamp(t),
-            values: cols.iter().map(|c| c[row]).collect(),
-        });
+    tags: &'a [usize],
+    sources: Option<&'a HashSet<SourceId>>,
+    tag_ranges: &'a [(usize, f64, f64)],
+    /// Walk every sealed batch sequentially instead of choosing
+    /// per-source descents — what a whole-table fold does: a batch off
+    /// the range costs one header check and a covered one answers from
+    /// its summary, so descents would save little.
+    every_batch: bool,
+}
+
+/// One part of the read set, as [`OdhTable::walk`] hands it to a consumer.
+enum Part {
+    /// A sealed batch that survived the time reject, zone pruning and the
+    /// source filter. `rows` are its in-scope, unmasked rows; `whole`
+    /// means every row of the batch is in scope — fully covered, no
+    /// source filter over an MG batch, no overlapping tombstone — so its
+    /// seal-time summary may answer for it.
+    Sealed { entry: Arc<CachedBatch>, rows: Rows, whole: bool },
+    /// Rows of an open, side or MG buffer or of a queued seal job,
+    /// already clipped, filtered and masked.
+    Open(ColumnarChunk),
+}
+
+/// The rows of a sealed batch a scope keeps: a contiguous span, or a
+/// sparse pick when a source filter or a tombstone drops rows inside it.
+enum Rows {
+    Span(usize, usize),
+    Pick(Vec<usize>),
+}
+
+impl Rows {
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (span, pick) = match self {
+            Rows::Span(lo, hi) => (*lo..*hi, &[][..]),
+            Rows::Pick(pick) => (0..0, &pick[..]),
+        };
+        span.chain(pick.iter().copied())
     }
 }
 
-/// Pack buffered rows `(id?, ts, values)` into one owned
-/// [`ColumnarChunk`]; `None` when no rows matched.
-fn owned_chunk(
-    tags_n: usize,
+/// Fold `rows` (indices into `ts` and `cols`) into per-bucket aggregates.
+/// Rows ascend within a sealed batch, so the map is probed once per run
+/// of rows sharing a bucket rather than once per row.
+fn fold_rows(
+    map: &mut BTreeMap<i64, RangeAggregate>,
+    bucket: impl Fn(i64) -> i64,
+    ts: &[i64],
+    cols: &[SharedCol],
+    rows: impl Iterator<Item = usize>,
+) {
+    let mut rows = rows.peekable();
+    while let Some(&first) = rows.peek() {
+        let b = bucket(ts[first]);
+        let agg = map.entry(b).or_insert_with(|| RangeAggregate::empty(cols.len()));
+        while let Some(row) = rows.next_if(|&r| bucket(ts[r]) == b) {
+            agg.rows += 1;
+            for (s, c) in agg.tags.iter_mut().zip(cols) {
+                s.add(c[row]);
+            }
+        }
+    }
+}
+
+/// Does the scope keep row `(id, t)`? The source filter plus tombstone
+/// masking — the one place masked rows are dropped and counted.
+fn keeps(s: &Scope, tombs: &[Tombstone], tally: &mut ReadTally, id: SourceId, t: i64) -> bool {
+    if s.sources.is_some_and(|f| !f.contains(&id)) {
+        return false;
+    }
+    if masks_row(tombs, id, t) {
+        tally.tombstone_masked_rows += 1;
+        return false;
+    }
+    true
+}
+
+/// Pack the kept rows `(id, ts, values)` of an open buffer or seal job
+/// into one owned [`ColumnarChunk`]; `None` when no row is kept. A
+/// per-source run names its `source` once, anything else carries ids.
+fn open_chunk(
+    s: &Scope,
+    tombs: &[Tombstone],
+    tally: &mut ReadTally,
     source: Option<SourceId>,
-    rows: impl Iterator<Item = (Option<SourceId>, i64, Vec<Option<f64>>)>,
+    rows: impl Iterator<Item = (SourceId, i64, Vec<Option<f64>>)>,
 ) -> Option<ColumnarChunk> {
     let mut ts = Vec::new();
     let mut ids = Vec::new();
-    let mut cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); tags_n];
+    let mut cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); s.tags.len()];
     for (id, t, values) in rows {
-        ts.push(t);
-        if let Some(id) = id {
-            ids.push(id);
+        if !keeps(s, tombs, tally, id, t) {
+            continue;
         }
+        ts.push(t);
+        ids.push(id);
         for (c, v) in cols.iter_mut().zip(values) {
             c.push(v);
         }
@@ -2975,23 +2192,11 @@ fn owned_chunk(
     }
     Some(ColumnarChunk {
         source,
-        ids: (!ids.is_empty()).then_some(ids),
+        ids: source.is_none().then_some(ids),
         ts,
         cols: cols.into_iter().map(Arc::new).collect(),
         start: 0,
     })
-}
-
-/// The per-bucket aggregate slot for timestamp `t`, created on demand.
-fn bucket_slot(
-    map: &mut BTreeMap<i64, RangeAggregate>,
-    interval_us: i64,
-    tags_n: usize,
-    t: i64,
-) -> &mut RangeAggregate {
-    let b = t.div_euclid(interval_us) * interval_us;
-    map.entry(b)
-        .or_insert_with(|| RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); tags_n] })
 }
 
 /// Sort rows by timestamp (stable), carrying ids and columns along.
@@ -3023,6 +2228,7 @@ fn sort_rows(ts: &mut [i64], ids: Option<&mut Vec<SourceId>>, cols: &mut [Vec<Op
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delete::DeletePredicate;
     use odh_pager::disk::MemDisk;
     use odh_types::Duration;
 
@@ -3801,6 +3007,117 @@ mod tests {
         assert_eq!(buckets[&0].tags[0].sum, 7.0);
         assert_eq!(buckets[&100_000].tags[0].sum, 9.0);
         assert!(t.bucket_aggregate(None, Timestamp(0), Timestamp(1), 0, &[0]).is_err());
+    }
+
+    /// The read set, pinned in one place: a live row and a tombstoned row
+    /// in every location a row can live in — RTS, IRTS and cold
+    /// generations, MG container, MG buffer, open buffer, side buffer and
+    /// a queued seal job — and every read entry point must see each live
+    /// row exactly once and no tombstoned row.
+    #[test]
+    fn every_read_entry_point_sees_the_whole_read_set() {
+        let pool = BufferPool::new(Arc::new(MemDisk::new()), 512);
+        let schema = SchemaType::new("env", ["temperature", "wind"]);
+        let cfg = TableConfig::new(schema)
+            .with_batch_size(4)
+            .with_seal_workers(0)
+            .with_cold_after(Duration::from_secs(5));
+        let t = OdhTable::create(pool, ResourceMeter::unmetered(), cfg).unwrap();
+        let rts = SourceClass::regular_high(Duration::from_hz(1000.0));
+        t.register_source(SourceId(1), rts).unwrap(); // RTS
+        for id in [2, 3, 4, 6] {
+            t.register_source(SourceId(id), SourceClass::irregular_high()).unwrap();
+        }
+        for id in [5000, 5001] {
+            t.register_source(SourceId(id), SourceClass::irregular_low()).unwrap();
+            // MG
+        }
+        // Row k carries 2^k, so a sum names exactly the rows it folded.
+        let mut rows: Vec<(u64, i64, f64)> = Vec::new();
+        let mut put = |src: u64, ts: i64| {
+            let v = (1u64 << rows.len()) as f64;
+            t.put(&Record::dense(SourceId(src), Timestamp(ts), [v, -v])).unwrap();
+            rows.push((src, ts, v));
+        };
+        for ts in [1_000, 2_000, 3_000, 4_000] {
+            put(3, ts); // sealed, then demoted to cold below
+        }
+        for i in 0..4 {
+            put(1, 10_000_000 + i * 1_000); // one RTS batch
+        }
+        for ts in [10_000_100, 10_001_300, 10_002_900, 10_004_100] {
+            put(2, ts); // one IRTS batch
+        }
+        for (src, ts) in [(5000, 10_000_200), (5001, 10_000_300), (5000, 10_000_400)] {
+            put(src, ts);
+        }
+        put(5001, 10_000_500); // fills the group buffer: one MG batch
+        t.compact().unwrap();
+        assert_eq!(t.cold_record_count(), 1, "source 3's batch is cold");
+        // Stall the seal queue: a pipeline with no workers keeps every
+        // handed-off job pending, its rows readable from the queue only.
+        assert!(t.seal_pipe.set(Arc::new(SealPipeline::new(8))).is_ok());
+        for i in 0..4 {
+            put(6, 20_000_000 + i); // a full buffer: one queued seal job
+        }
+        assert_eq!(t.seal_queue_depth(), 1);
+        put(4, 30_000_000);
+        put(4, 30_000_001); // open buffer
+        put(2, 9_000_000);
+        put(2, 9_000_500); // behind source 2's watermark: side buffer
+        put(5000, 40_000_000);
+        put(5001, 40_000_001); // MG buffer
+        assert_eq!(t.stats().ooo_side_rows.get(), 2);
+        let masked = [
+            (1, 10_001_000),
+            (2, 10_001_300),
+            (3, 2_000),
+            (5001, 10_000_300),
+            (5000, 40_000_000),
+            (4, 30_000_001),
+            (2, 9_000_500),
+            (6, 20_000_002),
+        ];
+        for (src, ts) in masked {
+            t.delete(&DeletePredicate::for_sources(ts, ts, [SourceId(src)])).unwrap();
+        }
+        let live: Vec<(u64, i64, f64)> =
+            rows.iter().copied().filter(|&(s, ts, _)| !masked.contains(&(s, ts))).collect();
+        let (lo, hi) = (Timestamp::MIN, Timestamp::MAX);
+        let sorted = |mut v: Vec<(u64, i64, f64)>| {
+            v.sort_by_key(|&(s, ts, _)| (ts, s));
+            v
+        };
+        let points = |pts: Vec<ScanPoint>| -> Vec<(u64, i64, f64)> {
+            pts.iter().map(|p| (p.source.0, p.ts.micros(), p.values[0].unwrap())).collect()
+        };
+        assert_eq!(points(t.slice_scan(lo, hi, &[0], None).unwrap()), sorted(live.clone()));
+        let chunks = t.scan_columnar(lo, hi, &[0], None, &[]).unwrap();
+        assert_eq!(points(ColumnarChunk::pivot(chunks)), sorted(live.clone()));
+        // Per-ts buckets (timestamps are unique) pin every row's value.
+        let per_row = |b: BTreeMap<i64, RangeAggregate>| -> Vec<(i64, u64, f64)> {
+            b.into_iter().map(|(ts, a)| (ts, a.rows, a.tags[0].sum)).collect()
+        };
+        let want_rows = |v: &[(u64, i64, f64)]| -> Vec<(i64, u64, f64)> {
+            let mut w: Vec<_> = v.iter().map(|&(_, ts, x)| (ts, 1, x)).collect();
+            w.sort_by_key(|r| r.0);
+            w
+        };
+        let total = |v: &[(u64, i64, f64)]| (v.len() as u64, v.iter().map(|r| r.2).sum::<f64>());
+        let agg = t.aggregate_range(None, lo, hi, &[0]).unwrap();
+        assert_eq!((agg.rows, agg.tags[0].sum), total(&live));
+        assert_eq!(per_row(t.bucket_aggregate(None, lo, hi, 1, &[0]).unwrap()), want_rows(&live));
+        for src in [1, 2, 3, 4, 6, 5000, 5001] {
+            let mine: Vec<_> = live.iter().copied().filter(|r| r.0 == src).collect();
+            let sid = SourceId(src);
+            assert_eq!(points(t.historical_scan(sid, lo, hi, &[0]).unwrap()), sorted(mine.clone()));
+            let agg = t.aggregate_range(Some(sid), lo, hi, &[0]).unwrap();
+            assert_eq!((agg.rows, agg.tags[0].sum), total(&mine), "source {src}");
+            let buckets = t.bucket_aggregate(Some(sid), lo, hi, 1, &[0]).unwrap();
+            assert_eq!(per_row(buckets), want_rows(&mine), "source {src}");
+        }
+        // Seven whole-table or per-source-complete reads, each masking all eight.
+        assert_eq!(t.stats().tombstone_masked_rows.get(), 7 * masked.len() as u64);
     }
 
     #[test]

@@ -70,6 +70,15 @@ fn corrupt_batch_payloads_are_rejected() {
             Err(e) => assert_eq!(e.kind(), "corrupt"),
         }
     }
+    // Headers the blob contradicts: a span past `i64::MAX` (`end()` would
+    // overflow) and a row count the 50-row blob does not hold.
+    for bad in [
+        odh_storage::batch::RtsBatch { interval: i64::MAX / 2, ..b.clone() },
+        odh_storage::batch::RtsBatch { count: 3_000_000, ..b.clone() },
+    ] {
+        let err = Batch::deserialize(&bad.serialize()).expect_err("corrupt header accepted");
+        assert_eq!(err.kind(), "corrupt");
+    }
 }
 
 #[test]
