@@ -10,16 +10,18 @@
 //! ingest buffers are allowed, because the log above the checkpoint LSN
 //! replays them. Recovery ([`DataServer::open_with_wal`]) restores the
 //! checkpoint image, then replays the WAL tail idempotently — frames at or
-//! below the checkpoint LSN or a source's sealed low-water mark are
-//! skipped, and a torn or corrupt tail is truncated with a warning.
+//! below the checkpoint LSN, and point frames the image's seal marks
+//! cover ([`SealMarks::covers`]), are skipped before they are decoded,
+//! and a torn or corrupt tail is truncated with a warning. A checkpoint
+//! drops exactly those frames from the log.
 
 use odh_pager::disk::{DiskManager, FileDisk, MemDisk};
 use odh_pager::log::LogStore;
 use odh_pager::page::{get_u32, get_u64, put_u32, put_u64, PageId, NO_PAGE, PAGE_SIZE};
 use odh_pager::pool::BufferPool;
 use odh_sim::ResourceMeter;
-use odh_storage::{OdhTable, TableConfig, TableSnapshot, Wal, WalEntry};
-use odh_types::{OdhError, Result};
+use odh_storage::{OdhTable, SealMarks, TableConfig, TableSnapshot, Wal, WalEntry, WalFrame};
+use odh_types::{OdhError, Record, Result, SourceId, Timestamp};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::Path;
@@ -130,6 +132,20 @@ impl DataServer {
         Ok(Self::open_inner(id, meter, disk, frames)?.0)
     }
 
+    /// The seal marks of every table image in `catalog`, by WAL table id.
+    fn image_marks<'a>(
+        catalog: impl IntoIterator<Item = &'a TableSnapshot>,
+    ) -> HashMap<u16, SealMarks> {
+        catalog.into_iter().filter_map(|s| Some((s.wal_table_id?, s.seal_marks()))).collect()
+    }
+
+    /// Is `frame` a point the checkpoint image already holds?
+    fn image_covers(marks: &HashMap<u16, SealMarks>, frame: &WalFrame<'_>) -> bool {
+        frame.point_source().is_some_and(|(source, late)| {
+            marks.get(&frame.table()).is_some_and(|m| m.covers(source, late, frame.lsn))
+        })
+    }
+
     /// Crash recovery: reopen the device, restore the last checkpoint,
     /// then replay the WAL tail. Torn or corrupt log tails are truncated
     /// (with a warning) — everything past the last valid frame was never
@@ -142,7 +158,8 @@ impl DataServer {
         frames: usize,
         log: Arc<dyn LogStore>,
     ) -> Result<DataServer> {
-        let (mut server, checkpoint_lsn) = Self::open_inner(id, meter.clone(), disk, frames)?;
+        let (mut server, checkpoint_lsn, marks) =
+            Self::open_inner(id, meter.clone(), disk, frames)?;
         let obs = RecoveryObs::new(&meter, id);
         // Re-bind restored tables to the log under their original ids
         // before replay, so replayed source registrations and points
@@ -161,7 +178,7 @@ impl DataServer {
                 table.attach_wal(wal.clone(), tid, false)?;
             }
         }
-        server.replay(&wal, &recovery.frames, checkpoint_lsn, &obs)?;
+        server.replay(&wal, recovery.frames(), checkpoint_lsn, &marks, &obs)?;
         server.pool.set_no_steal(true);
         server.wal = Some(wal);
         Ok(server)
@@ -172,9 +189,9 @@ impl DataServer {
         meter: Arc<ResourceMeter>,
         disk: Arc<dyn DiskManager>,
         frames: usize,
-    ) -> Result<(DataServer, u64)> {
+    ) -> Result<(DataServer, u64, HashMap<u16, SealMarks>)> {
         if disk.num_pages() == 0 {
-            return Ok((Self::with_disk(id, meter, disk, frames), 0));
+            return Ok((Self::with_disk(id, meter, disk, frames), 0, HashMap::new()));
         }
         let pool = BufferPool::new(disk, frames);
         let (magic, version, head, total_len, checkpoint_lsn) =
@@ -190,7 +207,7 @@ impl DataServer {
         let server = DataServer { id, pool, meter, tables: RwLock::new(HashMap::new()), wal: None };
         if magic != SUPER_MAGIC {
             // Device exists but was never checkpointed: treat as fresh.
-            return Ok((server, 0));
+            return Ok((server, 0, HashMap::new()));
         }
         let checkpoint_lsn = if version >= 2 { checkpoint_lsn } else { 0 };
         // Read the catalog chain.
@@ -222,21 +239,22 @@ impl DataServer {
                 g.insert(name.clone(), table);
             }
         }
-        Ok((server, checkpoint_lsn))
+        Ok((server, checkpoint_lsn, Self::image_marks(catalog.values())))
     }
 
     /// Replay recovered WAL frames (sorted by LSN) on top of the restored
     /// checkpoint. Frames at or below `checkpoint_lsn` are already in the
-    /// image; point frames are additionally guarded by the per-source
-    /// sealed low-water marks inside the table (idempotent replay). Frames
-    /// referencing unknown tables or sources are skipped with a warning —
-    /// their prerequisite frames were lost with an unsynced stripe, which
-    /// means they were never acknowledged.
-    fn replay(
+    /// image, and so are the point frames its seal `marks` cover; both are
+    /// skipped on their header alone. The rest decode into one reused row.
+    /// Frames referencing unknown tables or sources are skipped with a
+    /// warning — their prerequisite frames were lost with an unsynced
+    /// stripe, which means they were never acknowledged.
+    fn replay<'a>(
         &self,
         wal: &Arc<Wal>,
-        frames: &[odh_storage::WalFrame],
+        frames: impl Iterator<Item = WalFrame<'a>>,
         checkpoint_lsn: u64,
+        marks: &HashMap<u16, SealMarks>,
         obs: &RecoveryObs,
     ) -> Result<()> {
         let mut by_id: HashMap<u16, Arc<OdhTable>> = HashMap::new();
@@ -245,92 +263,78 @@ impl DataServer {
                 by_id.insert(tid, table.clone());
             }
         }
+        let mut row = Record::new(SourceId(0), Timestamp(0), Vec::new());
         for frame in frames {
-            if frame.lsn <= checkpoint_lsn {
-                if matches!(
-                    frame.entry,
-                    WalEntry::Point { .. } | WalEntry::LatePoint { .. } | WalEntry::Delete { .. }
-                ) {
+            let lsn = frame.lsn;
+            let table = frame.table();
+            if let Some((_, late)) = frame.point_source() {
+                if lsn <= checkpoint_lsn || Self::image_covers(marks, &frame) {
+                    obs.skipped.inc();
+                    continue;
+                }
+                let what = if late { "late point" } else { "point" };
+                let Some(t) = by_id.get(&table) else {
+                    obs.skipped.inc();
+                    eprintln!(
+                        "server {}: WAL replay skipped {what} for unknown table {table} (never \
+                         acknowledged)",
+                        self.id
+                    );
+                    continue;
+                };
+                frame.decode_point_into(&mut row)?;
+                let applied =
+                    if late { t.replay_put_late(&row, lsn) } else { t.replay_put(&row, lsn) };
+                match applied {
+                    Ok(()) => obs.replayed.inc(),
+                    Err(e) if e.kind() == "not_found" => {
+                        obs.skipped.inc();
+                        eprintln!(
+                            "server {}: WAL replay skipped {what} at LSN {lsn} ({e}; never \
+                             acknowledged)",
+                            self.id
+                        )
+                    }
+                    Err(e) => return Err(e),
+                }
+                continue;
+            }
+            if lsn <= checkpoint_lsn {
+                if frame.is_delete() {
                     obs.skipped.inc();
                 }
                 continue;
             }
-            match &frame.entry {
+            match frame.entry()? {
                 WalEntry::TableDef { table, config } => {
-                    if by_id.contains_key(table) {
+                    if by_id.contains_key(&table) {
                         continue;
                     }
-                    let cfg = TableConfig::from(config);
+                    let cfg = TableConfig::from(&config);
                     let name = cfg.schema.name.to_ascii_lowercase();
                     let mut g = self.tables.write();
                     if g.contains_key(&name) {
                         continue;
                     }
                     let t = Arc::new(OdhTable::create(self.pool.clone(), self.meter.clone(), cfg)?);
-                    t.attach_wal(wal.clone(), *table, false)?;
+                    t.attach_wal(wal.clone(), table, false)?;
                     t.start_seal_pipeline();
                     t.start_compactor();
                     g.insert(name, t.clone());
                     drop(g);
-                    by_id.insert(*table, t);
+                    by_id.insert(table, t);
                 }
-                WalEntry::Source { table, source, class } => match by_id.get(table) {
-                    Some(t) => t.adopt_source(*source, *class),
+                WalEntry::Source { table, source, class } => match by_id.get(&table) {
+                    Some(t) => t.adopt_source(source, class),
                     None => eprintln!(
                         "server {}: WAL replay skipped source {source} for unknown table {table} \
                          (never acknowledged)",
                         self.id
                     ),
                 },
-                WalEntry::Point { table, record } => match by_id.get(table) {
-                    Some(t) => match t.replay_put(record, frame.lsn) {
-                        Ok(true) => obs.replayed.inc(),
-                        Ok(false) => obs.skipped.inc(),
-                        Err(e) if e.kind() == "not_found" => {
-                            obs.skipped.inc();
-                            eprintln!(
-                                "server {}: WAL replay skipped point at LSN {} ({e}; never \
-                                 acknowledged)",
-                                self.id, frame.lsn
-                            )
-                        }
-                        Err(e) => return Err(e),
-                    },
-                    None => {
-                        obs.skipped.inc();
-                        eprintln!(
-                            "server {}: WAL replay skipped point for unknown table {table} (never \
-                             acknowledged)",
-                            self.id
-                        )
-                    }
-                },
-                WalEntry::LatePoint { table, record } => match by_id.get(table) {
-                    Some(t) => match t.replay_put_late(record, frame.lsn) {
-                        Ok(true) => obs.replayed.inc(),
-                        Ok(false) => obs.skipped.inc(),
-                        Err(e) if e.kind() == "not_found" => {
-                            obs.skipped.inc();
-                            eprintln!(
-                                "server {}: WAL replay skipped late point at LSN {} ({e}; never \
-                                 acknowledged)",
-                                self.id, frame.lsn
-                            )
-                        }
-                        Err(e) => return Err(e),
-                    },
-                    None => {
-                        obs.skipped.inc();
-                        eprintln!(
-                            "server {}: WAL replay skipped late point for unknown table {table} \
-                             (never acknowledged)",
-                            self.id
-                        )
-                    }
-                },
-                WalEntry::Delete { table, predicate } => match by_id.get(table) {
+                WalEntry::Delete { table, predicate } => match by_id.get(&table) {
                     Some(t) => {
-                        if t.replay_delete(predicate, frame.lsn) {
+                        if t.replay_delete(&predicate, lsn) {
                             obs.replayed.inc()
                         } else {
                             obs.skipped.inc()
@@ -345,6 +349,9 @@ impl DataServer {
                         )
                     }
                 },
+                WalEntry::Point { .. } | WalEntry::LatePoint { .. } => {
+                    unreachable!("point frames are replayed above")
+                }
             }
         }
         Ok(())
@@ -354,9 +361,11 @@ impl DataServer {
     ///
     /// Without a WAL this flushes every table (sealing all buffers) and
     /// write-backs the pool. With one, the checkpoint is *lenient*: open
-    /// ingest buffers stay open, the catalog snapshot excludes them, and
-    /// the WAL is truncated up to the oldest LSN still buffered — the tail
-    /// above it replays the buffers on recovery.
+    /// ingest buffers stay open and the catalog snapshot excludes them.
+    /// The checkpoint LSN is one below the oldest LSN still buffered;
+    /// frames at or below it leave the log, and so do point frames above
+    /// it that the new image's seal marks cover. What remains is the open
+    /// tails plus what arrives after the checkpoint.
     ///
     /// Old chains are not reclaimed (the pager never frees pages); each
     /// checkpoint costs `ceil(catalog/8176)` pages, negligible next to the
@@ -365,8 +374,7 @@ impl DataServer {
         match self.wal.clone() {
             None => {
                 self.flush()?;
-                self.write_catalog(0)?;
-                self.pool.flush_all()
+                self.write_catalog(0).map(drop)
             }
             Some(wal) => {
                 // Make the log durable first: every row about to enter the
@@ -381,21 +389,32 @@ impl DataServer {
                     .min()
                     .map(|oldest_open| oldest_open - 1)
                     .unwrap_or_else(|| wal.max_lsn());
-                self.write_catalog(safe)?;
-                self.pool.flush_all()?;
+                let catalog = self.write_catalog(safe)?;
                 // Only after the superblock points at the new catalog is it
-                // safe to drop frames at or below `safe`. A crash in the
+                // safe to drop frames the image holds. A crash in the
                 // truncation window leaves extra frames, which replay then
-                // skips (they're at or below the checkpoint LSN).
-                wal.truncate_through(safe)
+                // skips by the same rule.
+                let marks = Self::image_marks(catalog.values());
+                wal.retain(|f| f.lsn > safe && !Self::image_covers(&marks, f))
             }
         }
     }
 
-    fn write_catalog(&self, checkpoint_lsn: u64) -> Result<()> {
+    /// Capture every table, chain the catalog into fresh pages, and make
+    /// it the checkpoint. Every table stays frozen ([`OdhTable::freeze`])
+    /// from its capture until the pool flush that follows the superblock
+    /// write, so the pages on disk are exactly the pages the catalog
+    /// references. Returns the catalog as written.
+    fn write_catalog(&self, checkpoint_lsn: u64) -> Result<HashMap<String, TableSnapshot>> {
+        let mut tables: Vec<(String, Arc<OdhTable>)> =
+            self.tables.read().iter().map(|(n, t)| (n.clone(), t.clone())).collect();
+        tables.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut frozen = Vec::with_capacity(tables.len());
         let mut catalog: HashMap<String, TableSnapshot> = HashMap::new();
-        for (name, table) in self.tables.read().iter() {
-            catalog.insert(name.clone(), table.snapshot()?);
+        for (name, table) in &tables {
+            let freeze = table.freeze()?;
+            catalog.insert(name.clone(), freeze.snapshot()?);
+            frozen.push(freeze);
         }
         let bytes = serde_json::to_vec(&catalog)
             .map_err(|e| OdhError::Io(format!("serializing checkpoint: {e}")))?;
@@ -420,7 +439,10 @@ impl DataServer {
             put_u64(buf, 8, next);
             put_u64(buf, 16, bytes.len() as u64);
             put_u64(buf, 24, checkpoint_lsn);
-        })
+        })?;
+        self.pool.flush_all()?;
+        drop(frozen);
+        Ok(catalog)
     }
 
     /// Force every acknowledged-pending write to stable storage: flushes

@@ -46,7 +46,7 @@ pub use cache::DecodeCache;
 pub use compact::CompactReport;
 pub use delete::{DeletePredicate, Tombstone};
 pub use select::Structure;
-pub use snapshot::{TableConfigSnapshot, TableSnapshot};
+pub use snapshot::{SealMarks, TableConfigSnapshot, TableSnapshot};
 pub use stats::StorageStats;
-pub use table::{ColumnarChunk, OdhTable, RangeAggregate, ScanPoint, TableConfig};
+pub use table::{ColumnarChunk, OdhTable, RangeAggregate, ScanPoint, TableConfig, TableFreeze};
 pub use wal::{Wal, WalEntry, WalFrame, WalRecovery, WalStats};

@@ -181,6 +181,7 @@ impl SourceRegistry {
         self.shard(source).get(&source).is_some_and(|r| r.watermark != i64::MIN && ts < r.watermark)
     }
 
+    #[cfg(test)]
     pub fn sealed_lsn(&self, source: u64) -> u64 {
         self.shard(source).get(&source).map_or(0, |r| r.sealed_lsn)
     }
@@ -194,6 +195,7 @@ impl SourceRegistry {
         }
     }
 
+    #[cfg(test)]
     pub fn late_sealed_lsn(&self, source: u64) -> u64 {
         self.shard(source).get(&source).map_or(0, |r| r.late_sealed_lsn)
     }
@@ -205,10 +207,6 @@ impl SourceRegistry {
         if let Some(r) = self.shard(source).get_mut(&source) {
             r.late_sealed_lsn = r.late_sealed_lsn.max(lsn);
         }
-    }
-
-    pub fn mg_sealed_lsn(&self, group: u32) -> u64 {
-        self.mg_shard(group).get(&group).copied().unwrap_or(0)
     }
 
     pub fn advance_mg_sealed(&self, group: u32, lsn: u64) {

@@ -29,6 +29,9 @@ impl OdhTable {
     /// Rewrite every sealed MG batch into per-source RTS/IRTS batches.
     /// Returns the number of points moved.
     pub fn reorganize(&self) -> Result<u64> {
+        // A checkpoint must not capture the drained MG generation before
+        // its rows land under per-source keys.
+        let _image = self.image_gate.read();
         let _span = self.obs.registry.span("reorg", &self.obs.reorg);
         // Swap in a fresh MG generation; drain the old one.
         let old = {

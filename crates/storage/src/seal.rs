@@ -18,6 +18,15 @@
 //! degrades to the pre-pipeline behaviour instead of buffering without
 //! limit.
 //!
+//! **Install order.** A source's (or MG group's) seal mark is a single
+//! max LSN, so its batches must land in the order their rows were taken:
+//! a newer batch installed first would raise the mark over an older one
+//! still queued, and a checkpoint then would hold a mark covering rows
+//! it lacks. Every take draws a per-key *turn* under the shard lock that
+//! covered it ([`SealPipeline::try_enqueue`] or
+//! [`SealPipeline::take_turn`]); workers only pick jobs whose turn has
+//! come, and inline seals wait for theirs ([`SealPipeline::wait_turn`]).
+//!
 //! **Durability.** A queued job still counts toward
 //! [`SealPipeline::min_first_lsn`], so checkpoints never truncate the WAL
 //! past acknowledged-but-unsealed rows; a crash with jobs in flight
@@ -39,6 +48,22 @@ pub(crate) enum JobKind {
     Mg { group: GroupId },
 }
 
+/// The owner of one seal mark: a source, or an MG group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum SealKey {
+    Source(u64),
+    Group(u32),
+}
+
+impl JobKind {
+    pub(crate) fn key(&self) -> SealKey {
+        match *self {
+            JobKind::Source { source, .. } => SealKey::Source(source.0),
+            JobKind::Mg { group } => SealKey::Group(group.0),
+        }
+    }
+}
+
 /// One buffer's worth of rows taken off the ingest path but not yet
 /// installed in a container. Immutable once enqueued: workers read it to
 /// encode, scans read it for dirty-read visibility.
@@ -54,6 +79,8 @@ pub(crate) struct PendingSeal {
     /// WAL LSN bounds of the rows (0 without a WAL).
     pub first_lsn: u64,
     pub last_lsn: u64,
+    /// This job's place in its key's install order.
+    pub turn: u64,
     pub enqueued_at: Instant,
 }
 
@@ -74,6 +101,7 @@ impl PendingSeal {
             cols,
             first_lsn,
             last_lsn,
+            turn: 0,
             enqueued_at: Instant::now(),
         }
     }
@@ -94,6 +122,7 @@ impl PendingSeal {
             cols,
             first_lsn,
             last_lsn,
+            turn: 0,
             enqueued_at: Instant::now(),
         }
     }
@@ -144,6 +173,9 @@ struct PipeInner {
     next_id: u64,
     /// Jobs popped off the queue whose `complete` hasn't run yet.
     in_flight: usize,
+    /// Keys with a take not yet installed: `(next turn to hand out, turn
+    /// now allowed to install)`. Dropped once every turn has installed.
+    turns: HashMap<SealKey, (u64, u64)>,
     shutdown: bool,
     /// First worker error since the last drain.
     error: Option<OdhError>,
@@ -154,7 +186,44 @@ pub(crate) struct SealPipeline {
     inner: Mutex<PipeInner>,
     job_ready: Condvar,
     drained: Condvar,
+    turn_done: Condvar,
     depth_limit: usize,
+}
+
+/// Ends a seal's install turn when dropped — after its install and mark
+/// advance, or on any error path, so later turns never wait forever.
+pub(crate) struct Turn<'a> {
+    pipe: &'a SealPipeline,
+    key: SealKey,
+    turn: u64,
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        let mut g = self.pipe.lock();
+        if let Some(t) = g.turns.get_mut(&self.key) {
+            t.1 = t.1.max(self.turn + 1);
+            if t.1 >= t.0 {
+                g.turns.remove(&self.key);
+            }
+        }
+        drop(g);
+        self.pipe.turn_done.notify_all();
+        self.pipe.job_ready.notify_all();
+    }
+}
+
+impl PipeInner {
+    fn take_turn(&mut self, key: SealKey) -> u64 {
+        let t = self.turns.entry(key).or_insert((0, 0));
+        t.0 += 1;
+        t.0 - 1
+    }
+
+    /// Has every turn of `key` before `turn` installed?
+    fn turn_come(&self, key: SealKey, turn: u64) -> bool {
+        self.turns.get(&key).is_none_or(|&(_, next)| next >= turn)
+    }
 }
 
 impl SealPipeline {
@@ -171,26 +240,30 @@ impl SealPipeline {
                 pending: HashMap::new(),
                 next_id: 0,
                 in_flight: 0,
+                turns: HashMap::new(),
                 shutdown: false,
                 error: None,
             }),
             job_ready: Condvar::new(),
             drained: Condvar::new(),
+            turn_done: Condvar::new(),
             depth_limit,
         }
     }
 
     /// Hand a job to the worker pool. Refuses (returning the job back)
     /// when the queue is full or the pipeline is shutting down — the
-    /// caller then seals inline. Must be called under a seal ticket that
-    /// also covered the buffer take, so readers never observe the rows
-    /// in neither place.
+    /// caller then seals inline. Either way the job draws its key's next
+    /// install turn. Must be called under the shard lock and the seal
+    /// ticket that covered the buffer take: the lock orders the turns,
+    /// the ticket keeps readers from observing the rows in neither place.
     // The Err variant hands the whole job back so the refused caller can
     // seal it inline; boxing it would put an allocation on the very path
     // this pipeline exists to keep allocation-free.
     #[allow(clippy::result_large_err)]
     pub(crate) fn try_enqueue(&self, mut job: PendingSeal) -> std::result::Result<(), PendingSeal> {
         let mut g = self.lock();
+        job.turn = g.take_turn(job.kind.key());
         if g.shutdown || g.queue.len() >= self.depth_limit {
             return Err(job);
         }
@@ -204,14 +277,32 @@ impl SealPipeline {
         Ok(())
     }
 
-    /// Worker side: block up to `timeout` for the next job.
+    /// Draw `job`'s install turn for a seal that bypasses the queue (a
+    /// flush's inline seals). Call right after the take.
+    pub(crate) fn take_turn(&self, job: &mut PendingSeal) {
+        job.turn = self.lock().take_turn(job.kind.key());
+    }
+
+    /// Block until every earlier turn of `key` has installed, and hold
+    /// `turn` until the returned guard drops.
+    pub(crate) fn wait_turn(&self, key: SealKey, turn: u64) -> Turn<'_> {
+        let mut g = self.lock();
+        while !g.shutdown && !g.turn_come(key, turn) {
+            g = self.turn_done.wait(g).unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        Turn { pipe: self, key, turn }
+    }
+
+    /// Worker side: block up to `timeout` for the next job whose turn has
+    /// come (queue order otherwise).
     pub(crate) fn next_job(&self, timeout: Duration) -> Wake {
         let mut g = self.lock();
         loop {
             if g.shutdown {
                 return Wake::Shutdown;
             }
-            if let Some(job) = g.queue.pop_front() {
+            let ready = g.queue.iter().position(|j| g.turn_come(j.kind.key(), j.turn));
+            if let Some(job) = ready.and_then(|i| g.queue.remove(i)) {
                 g.in_flight += 1;
                 return Wake::Job(job);
             }

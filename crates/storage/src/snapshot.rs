@@ -8,14 +8,20 @@
 //! are *not* part of a snapshot (the paper's insert path is explicitly
 //! non-transactional); [`OdhTable::snapshot`] therefore requires a flush
 //! first and refuses to run with unsealed points.
+//!
+//! With a WAL attached the image is lenient instead, and its per-source
+//! seal marks say which logged points it already holds: [`SealMarks`] is
+//! the one rule replay and checkpoint truncation both apply to them.
 
 use crate::container::{Container, ContainerSnapshot};
+use crate::select::{ingestion_structure, Structure};
 use crate::stats::{MeterIoHook, StatsSnapshot, StorageStats};
-use crate::table::{OdhTable, TableConfig};
+use crate::table::{OdhTable, TableConfig, TableFreeze};
 use odh_pager::pool::BufferPool;
 use odh_sim::ResourceMeter;
-use odh_types::{OdhError, Result, SourceClass};
+use odh_types::{OdhError, Result, SourceClass, SourceId};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Recovery image of one operational table.
@@ -47,6 +53,50 @@ pub struct TableSnapshot {
     /// Highest delete LSN ever applied — replay skips delete frames at or
     /// below it so a retired tombstone cannot resurrect.
     pub tombstone_sealed: Option<u64>,
+}
+
+/// The replay low-water marks of one table image, resolved per source.
+#[derive(Debug, Default)]
+pub struct SealMarks {
+    /// Per source, the mark its in-order point frames seal under: its own
+    /// `sealed` mark, or its MG group's `mg_sealed` mark.
+    points: HashMap<u64, u64>,
+    /// Per source, its side-buffer `late_sealed` mark.
+    late: HashMap<u64, u64>,
+}
+
+impl SealMarks {
+    /// The coverage rule WAL replay and checkpoint truncation share: a
+    /// point frame is already in the image when its LSN is at or below
+    /// the mark its seal path advances. Replay skips such a frame without
+    /// decoding it; a checkpoint drops it from the log.
+    pub fn covers(&self, source: SourceId, late: bool, lsn: u64) -> bool {
+        let marks = if late { &self.late } else { &self.points };
+        marks.get(&source.0).is_some_and(|&mark| lsn <= mark)
+    }
+}
+
+impl TableSnapshot {
+    /// The image's seal marks, exactly as captured.
+    pub fn seal_marks(&self) -> SealMarks {
+        let sealed: HashMap<u64, u64> = self.sealed.iter().flatten().copied().collect();
+        let mg: HashMap<u32, u64> = self.mg_sealed.iter().flatten().copied().collect();
+        let points = self
+            .sources
+            .iter()
+            .filter_map(|&(id, class)| {
+                let mark = match ingestion_structure(class) {
+                    Structure::Mg => {
+                        let group = id.checked_div(self.config.mg_group_size).unwrap_or(0);
+                        mg.get(&(group as u32))
+                    }
+                    _ => sealed.get(&id),
+                };
+                mark.map(|&m| (id, m))
+            })
+            .collect();
+        SealMarks { points, late: self.late_sealed.iter().flatten().copied().collect() }
+    }
 }
 
 /// Serializable form of [`TableConfig`].
@@ -132,48 +182,8 @@ impl OdhTable {
     /// them), and the persisted counters are reduced by the buffered rows
     /// that replay will re-count.
     pub fn snapshot(&self) -> Result<TableSnapshot> {
-        // Settle the seal pipeline first: queued batches land in their
-        // containers (and the image), instead of counting as buffered.
-        self.drain_seals()?;
-        let buffered = self.buffered_points();
-        let lenient = self.wal_table_id().is_some() && !self.config().strict_snapshot;
-        if buffered > 0 && !lenient {
-            return Err(OdhError::Config(
-                "snapshot with unsealed ingest buffers; flush first".into(),
-            ));
-        }
-        let sources = self.registry.snapshot_sources();
-        let mut stats = self.stats.snapshot();
-        if buffered > 0 {
-            let (records, points) = self.buffered_totals();
-            stats.records_ingested = stats.records_ingested.saturating_sub(records);
-            stats.points_ingested = stats.points_ingested.saturating_sub(points);
-        }
-        let sealed = self.registry.snapshot_sealed();
-        let mg_sealed = self.registry.snapshot_mg_sealed();
-        let late_sealed = self.registry.snapshot_late_sealed();
-        // Exclude a concurrent compaction pass: a checkpoint must not
-        // capture one generation pre-swap and another post-swap (points
-        // would be doubled or lost in the image).
-        let _no_compact = self.compact_lock.lock();
-        Ok(TableSnapshot {
-            config: TableConfigSnapshot::from(self.config()),
-            sources,
-            rts: self.rts.read().snapshot(),
-            irts: self.irts.read().snapshot(),
-            mg: self.mg.read().snapshot(),
-            cold: Some(self.cold.read().snapshot()),
-            reorganized: self.reorganized.load(std::sync::atomic::Ordering::Acquire),
-            stats,
-            sealed: Some(sealed),
-            mg_sealed: Some(mg_sealed),
-            wal_table_id: self.wal_table_id(),
-            late_sealed: Some(late_sealed),
-            tombstones: Some(self.tombstones().as_ref().clone()),
-            tombstone_sealed: Some(self.tombstone_sealed.load(std::sync::atomic::Ordering::SeqCst)),
-        })
+        self.freeze()?.snapshot()
     }
-
     /// Re-attach a table from its recovery image over a reopened pool.
     pub fn restore(
         pool: Arc<BufferPool>,
@@ -217,6 +227,51 @@ impl OdhTable {
             let _ = table.restored_wal_table_id.set(tid);
         }
         Ok(table)
+    }
+}
+
+impl TableFreeze<'_> {
+    /// Capture the frozen table's recovery image (see
+    /// [`OdhTable::snapshot`]). No install or compaction pass can run
+    /// while the freeze is held, so the containers and the seal marks are
+    /// captured at one instant: every batch in the image is covered by its
+    /// source's mark.
+    pub fn snapshot(&self) -> Result<TableSnapshot> {
+        let t = self.table();
+        let buffered = t.buffered_points();
+        let lenient = t.wal_table_id().is_some() && !t.config().strict_snapshot;
+        if buffered > 0 && !lenient {
+            return Err(OdhError::Config(
+                "snapshot with unsealed ingest buffers; flush first".into(),
+            ));
+        }
+        let sources = t.registry.snapshot_sources();
+        let mut stats = t.stats.snapshot();
+        if buffered > 0 {
+            let (records, points) = t.buffered_totals();
+            stats.records_ingested = stats.records_ingested.saturating_sub(records);
+            stats.points_ingested = stats.points_ingested.saturating_sub(points);
+        }
+        let sealed = t.registry.snapshot_sealed();
+        let mg_sealed = t.registry.snapshot_mg_sealed();
+        #[cfg(test)]
+        t.stall_at(crate::table::Stall::MarksCaptured);
+        Ok(TableSnapshot {
+            config: TableConfigSnapshot::from(t.config()),
+            sources,
+            rts: t.rts.read().snapshot(),
+            irts: t.irts.read().snapshot(),
+            mg: t.mg.read().snapshot(),
+            cold: Some(t.cold.read().snapshot()),
+            reorganized: t.reorganized.load(std::sync::atomic::Ordering::Acquire),
+            stats,
+            sealed: Some(sealed),
+            mg_sealed: Some(mg_sealed),
+            wal_table_id: t.wal_table_id(),
+            late_sealed: Some(t.registry.snapshot_late_sealed()),
+            tombstones: Some(t.tombstones().as_ref().clone()),
+            tombstone_sealed: Some(t.tombstone_sealed.load(std::sync::atomic::Ordering::SeqCst)),
+        })
     }
 }
 

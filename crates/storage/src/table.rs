@@ -488,7 +488,44 @@ pub struct OdhTable {
     /// `WalEntry::Delete` frames (a retired tombstone must not resurrect
     /// when its frame replays after a crash).
     pub(crate) tombstone_sealed: std::sync::atomic::AtomicU64,
+    /// Every batch install holds this shared from its container insert
+    /// through its seal-mark advance (reorganization holds it for its
+    /// whole pass); [`OdhTable::freeze`] holds it exclusively, so a frozen
+    /// table's pages and marks stay exactly as one capture saw them.
+    pub(crate) image_gate: RwLock<()>,
+    /// Test-only pause points (see [`Stall`]).
+    #[cfg(test)]
+    stall: parking_lot::Mutex<Option<StallHook>>,
 }
+
+/// Holds a table's on-disk image still (see [`OdhTable::freeze`]).
+pub struct TableFreeze<'a> {
+    table: &'a OdhTable,
+    _compact: parking_lot::MutexGuard<'a, ()>,
+    _installs: parking_lot::RwLockWriteGuard<'a, ()>,
+}
+
+impl<'a> TableFreeze<'a> {
+    pub(crate) fn table(&self) -> &'a OdhTable {
+        self.table
+    }
+}
+
+/// Points where a test can pause a seal or a capture.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stall {
+    /// A seal worker holds its install turn with its batch encoded.
+    Encoded,
+    /// A seal has installed its batch but not yet advanced the source's
+    /// seal mark.
+    Installed,
+    /// A capture has read the seal marks but not yet the containers.
+    MarksCaptured,
+}
+
+#[cfg(test)]
+type StallHook = Arc<dyn Fn(&OdhTable, Stall) + Send + Sync>;
 
 struct WalBinding {
     wal: Arc<Wal>,
@@ -533,6 +570,9 @@ impl OdhTable {
             side_buffers: StripedBuffers::new(Arc::new(ConcurrencyStats::default())),
             tombstones: RwLock::new(Arc::new(Vec::new())),
             tombstone_sealed: std::sync::atomic::AtomicU64::new(0),
+            image_gate: RwLock::new(()),
+            #[cfg(test)]
+            stall: parking_lot::Mutex::new(None),
             cfg,
             pool,
             meter,
@@ -580,6 +620,9 @@ impl OdhTable {
             side_buffers: StripedBuffers::new(Arc::new(ConcurrencyStats::default())),
             tombstones: RwLock::new(Arc::new(Vec::new())),
             tombstone_sealed: std::sync::atomic::AtomicU64::new(0),
+            image_gate: RwLock::new(()),
+            #[cfg(test)]
+            stall: parking_lot::Mutex::new(None),
             cfg,
             pool,
             meter,
@@ -719,7 +762,7 @@ impl OdhTable {
     /// appended to the log (write-ahead) before it enters the buffer;
     /// durability is acknowledged at the next [`Wal::sync`].
     pub fn put(&self, record: &Record) -> Result<()> {
-        self.put_at(record, None).map(|_| ())
+        self.put_at(record, None)
     }
 
     /// Ingest a columnar run of `ts.len()` records for one source
@@ -777,8 +820,10 @@ impl OdhTable {
                     if buf.len() >= self.cfg.batch_size {
                         let _seal = self.seals.begin();
                         let (bts, bcols, bfirst, blast) = buf.take();
+                        let job = PendingSeal::source(source, meta, bts, bcols, bfirst, blast);
+                        let inline = self.hand_off(job);
                         drop(g);
-                        self.dispatch_source_seal(source, meta, bts, bcols, bfirst, blast)?;
+                        self.seal_inline(inline)?;
                     }
                     off += take;
                 }
@@ -799,8 +844,10 @@ impl OdhTable {
                     if buf.len() >= self.cfg.batch_size {
                         let _seal = self.seals.begin();
                         let (bts, ids, bcols, bfirst, blast) = buf.take();
+                        let job = PendingSeal::mg(meta.group, bts, ids, bcols, bfirst, blast);
+                        let inline = self.hand_off(job);
                         drop(g);
-                        self.dispatch_mg_seal(meta.group, bts, ids, bcols, bfirst, blast)?;
+                        self.seal_inline(inline)?;
                     }
                     off += take;
                 }
@@ -815,14 +862,13 @@ impl OdhTable {
     }
 
     /// Replay one recovered WAL frame: re-buffers the point under its
-    /// original LSN without re-logging it, and skips frames whose row was
-    /// already sealed into a container before the checkpoint (idempotent
-    /// replay). Returns whether the point was applied.
-    pub fn replay_put(&self, record: &Record, lsn: u64) -> Result<bool> {
+    /// original LSN without re-logging it. The caller has already skipped
+    /// frames the checkpoint image covers ([`crate::SealMarks::covers`]).
+    pub fn replay_put(&self, record: &Record, lsn: u64) -> Result<()> {
         self.put_at(record, Some(lsn))
     }
 
-    fn put_at(&self, record: &Record, replay: Option<u64>) -> Result<bool> {
+    fn put_at(&self, record: &Record, replay: Option<u64>) -> Result<()> {
         self.cfg.schema.check_arity(record.values.len())?;
         let meta = self.registry.require(record.source)?;
         self.meter.cpu(self.meter.costs.point_encode * record.values.len() as f64);
@@ -839,19 +885,14 @@ impl OdhTable {
                 if replay.is_none() && self.is_late(record.source, record.ts.micros()) {
                     self.put_side(meta, record, None)?;
                     self.stats.note_put(record.ts.micros(), record.data_points() as u64);
-                    return Ok(true);
+                    return Ok(());
                 }
                 let mut g = self.buffers.lock_source(record.source.0);
                 // WAL append happens *inside* the shard lock: per-source
                 // LSN order then equals buffer order, which is what lets
                 // recovery reproduce arrival order exactly.
                 let lsn = match replay {
-                    Some(l) => {
-                        if l <= self.registry.sealed_lsn(record.source.0) {
-                            return Ok(false);
-                        }
-                        l
-                    }
+                    Some(l) => l,
                     None => match self.wal_binding() {
                         Some(b) => b.wal.append_point(b.table_id, record)?,
                         None => 0,
@@ -867,22 +908,20 @@ impl OdhTable {
                     // every instant.
                     let _seal = self.seals.begin();
                     let (ts, cols, first_lsn, last_lsn) = buf.take();
+                    let job =
+                        PendingSeal::source(record.source, meta, ts, cols, first_lsn, last_lsn);
+                    let inline = self.hand_off(job);
                     // Seal outside the shard lock: blob encoding is the
                     // expensive part, and other sources on this shard can
                     // keep ingesting meanwhile.
                     drop(g);
-                    self.dispatch_source_seal(record.source, meta, ts, cols, first_lsn, last_lsn)?;
+                    self.seal_inline(inline)?;
                 }
             }
             Structure::Mg => {
                 let mut g = self.buffers.lock_mg(meta.group.0);
                 let lsn = match replay {
-                    Some(l) => {
-                        if l <= self.registry.mg_sealed_lsn(meta.group.0) {
-                            return Ok(false);
-                        }
-                        l
-                    }
+                    Some(l) => l,
                     None => match self.wal_binding() {
                         Some(b) => b.wal.append_point(b.table_id, record)?,
                         None => 0,
@@ -895,26 +934,25 @@ impl OdhTable {
                 if buf.len() >= self.cfg.batch_size {
                     let _seal = self.seals.begin();
                     let (ts, ids, cols, first_lsn, last_lsn) = buf.take();
+                    let inline = self
+                        .hand_off(PendingSeal::mg(meta.group, ts, ids, cols, first_lsn, last_lsn));
                     drop(g);
-                    self.dispatch_mg_seal(meta.group, ts, ids, cols, first_lsn, last_lsn)?;
+                    self.seal_inline(inline)?;
                 }
             }
         }
         self.stats.note_put(record.ts.micros(), record.data_points() as u64);
-        Ok(true)
+        Ok(())
     }
 
     /// Replay one recovered late-point frame into the side buffer under
-    /// its original LSN — the late counterpart of [`OdhTable::replay_put`],
-    /// idempotent via the `late_sealed` low-water marks.
-    pub fn replay_put_late(&self, record: &Record, lsn: u64) -> Result<bool> {
+    /// its original LSN — the late counterpart of [`OdhTable::replay_put`].
+    pub fn replay_put_late(&self, record: &Record, lsn: u64) -> Result<()> {
         self.cfg.schema.check_arity(record.values.len())?;
         let meta = self.registry.require(record.source)?;
-        let applied = self.put_side(meta, record, Some(lsn))?;
-        if applied {
-            self.stats.note_put(record.ts.micros(), record.data_points() as u64);
-        }
-        Ok(applied)
+        self.put_side(meta, record, Some(lsn))?;
+        self.stats.note_put(record.ts.micros(), record.data_points() as u64);
+        Ok(())
     }
 
     /// Buffer one late row in its source's side buffer. Logged under
@@ -923,16 +961,11 @@ impl OdhTable {
     /// small IRTS batch when full — late runs are fragmented by nature,
     /// and the compactor, not the seal pipeline, is where they merge back
     /// into full time-ordered generations.
-    fn put_side(&self, meta: SourceMeta, record: &Record, replay: Option<u64>) -> Result<bool> {
+    fn put_side(&self, meta: SourceMeta, record: &Record, replay: Option<u64>) -> Result<()> {
         let source = record.source;
         let mut g = self.side_buffers.lock_source(source.0);
         let lsn = match replay {
-            Some(l) => {
-                if l <= self.registry.late_sealed_lsn(source.0) {
-                    return Ok(false);
-                }
-                l
-            }
+            Some(l) => l,
             None => match self.wal_binding() {
                 Some(b) => b.wal.append_late_point(b.table_id, record)?,
                 None => 0,
@@ -949,7 +982,7 @@ impl OdhTable {
             drop(g);
             self.seal_side_batch(source, meta, ts, cols, last_lsn)?;
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Seal one side buffer's rows as an IRTS batch (even for RTS-class
@@ -967,6 +1000,7 @@ impl OdhTable {
         let _span = self.obs.registry.span("seal", &self.obs.seal);
         let irts = SourceMeta { ingest: Structure::Irts, ..meta };
         let batches = self.build_source_batches(source, irts, ts, cols)?;
+        let _image = self.image_gate.read();
         self.install_built(&batches)?;
         self.registry.advance_late_sealed(source.0, last_lsn);
         self.stats.ooo_side_batches.inc();
@@ -1083,12 +1117,20 @@ impl OdhTable {
             // out. Scoped so the ticket is released before the pipeline
             // barrier below — workers take their own install tickets.
             let _seal = self.seals.begin();
-            for (id, (ts, cols, _first, last_lsn)) in self.buffers.drain_sources() {
+            let mut jobs = Vec::new();
+            for (id, (ts, cols, first, last)) in self.buffers.drain_sources() {
                 let meta = self.drained_meta(id);
-                self.seal_source_batch(SourceId(id), meta, ts, cols, last_lsn)?;
+                jobs.push(PendingSeal::source(SourceId(id), meta, ts, cols, first, last));
             }
-            for (gid, (ts, ids, cols, _first, last_lsn)) in self.buffers.drain_mg() {
-                self.seal_mg_batch(GroupId(gid), ts, ids, cols, last_lsn)?;
+            for (gid, (ts, ids, cols, first, last)) in self.buffers.drain_mg() {
+                jobs.push(PendingSeal::mg(GroupId(gid), ts, ids, cols, first, last));
+            }
+            for mut job in jobs {
+                // Behind any queued job of the same key.
+                if let Some(pipe) = self.seal_pipe.get() {
+                    pipe.take_turn(&mut job);
+                }
+                self.seal_inline(Some(job))?;
             }
             for (id, (ts, cols, _first, last_lsn)) in self.side_buffers.drain_sources() {
                 let meta = self.drained_meta(id);
@@ -1138,12 +1180,49 @@ impl OdhTable {
 
     /// Smallest WAL LSN still sitting in an open ingest buffer *or* an
     /// unfinished seal job, if any — the bound on how far a checkpoint may
-    /// truncate the log.
+    /// truncate the log. Read at a stable seal epoch: between a buffer
+    /// take and its enqueue or install, rows sit in none of the places
+    /// this looks.
     pub fn min_open_lsn(&self) -> Option<u64> {
-        let buffered = self.buffers.min_first_lsn();
-        let side = self.side_buffers.min_first_lsn();
-        let queued = self.seal_pipe.get().and_then(|p| p.min_first_lsn());
-        [buffered, side, queued].into_iter().flatten().min()
+        loop {
+            let Some(epoch) = self.seals.stable() else {
+                std::thread::yield_now();
+                continue;
+            };
+            let buffered = self.buffers.min_first_lsn();
+            let side = self.side_buffers.min_first_lsn();
+            let queued = self.seal_pipe.get().and_then(|p| p.min_first_lsn());
+            if self.seals.still(epoch) {
+                return [buffered, side, queued].into_iter().flatten().min();
+            }
+        }
+    }
+
+    /// Hold this table's on-disk image still: seal jobs queued so far are
+    /// installed first, then no compaction pass, reorganization or batch
+    /// install runs until the guard drops. A checkpoint holds it from the
+    /// capture ([`TableFreeze::snapshot`]) through the page flush, so the
+    /// pages written are exactly the pages the captured image references
+    /// (B-tree inserts rewrite leaf pages in place) and its seal marks
+    /// match its containers.
+    pub fn freeze(&self) -> Result<TableFreeze<'_>> {
+        self.drain_seals()?;
+        let compact = self.compact_lock.lock();
+        let installs = self.image_gate.write();
+        Ok(TableFreeze { table: self, _compact: compact, _installs: installs })
+    }
+
+    #[cfg(test)]
+    pub(crate) fn set_stall(&self, hook: impl Fn(&OdhTable, Stall) + Send + Sync + 'static) {
+        *self.stall.lock() = Some(Arc::new(hook));
+    }
+
+    #[cfg(test)]
+    pub(crate) fn stall_at(&self, at: Stall) {
+        let hook = self.stall.lock().clone();
+        if let Some(hook) = hook {
+            hook(self, at);
+        }
     }
 
     /// Rows and non-NULL points in open buffers, side buffers included
@@ -1154,65 +1233,72 @@ impl OdhTable {
         (r1 + r2, p1 + p2)
     }
 
-    /// Hand a full per-source buffer to the seal pipeline, or seal inline
-    /// when there is no pipeline / the queue is full (backpressure).
-    fn dispatch_source_seal(
-        &self,
-        source: SourceId,
-        meta: SourceMeta,
-        ts: Vec<i64>,
-        cols: Vec<Vec<Option<f64>>>,
-        first_lsn: u64,
-        last_lsn: u64,
-    ) -> Result<()> {
-        let (ts, cols) = match self.seal_pipe.get() {
-            Some(pipe) => {
-                match pipe
-                    .try_enqueue(PendingSeal::source(source, meta, ts, cols, first_lsn, last_lsn))
-                {
-                    Ok(()) => {
-                        self.obs.queue_enqueued.inc();
-                        self.obs.queue_depth.set(pipe.pending_len() as i64);
-                        return Ok(());
-                    }
-                    Err(job) => {
-                        self.obs.queue_fallback.inc();
-                        (job.ts, job.cols)
-                    }
-                }
-            }
-            None => (ts, cols),
+    /// Hand a full buffer's rows to the seal pipeline. Called under the
+    /// shard lock that covered the take, so a key's jobs draw their
+    /// install turns in LSN order. Returns the job when it must be sealed
+    /// inline instead: no pipeline, or a full queue (backpressure).
+    fn hand_off(&self, job: PendingSeal) -> Option<PendingSeal> {
+        let Some(pipe) = self.seal_pipe.get() else {
+            return Some(job);
         };
-        self.seal_source_batch(source, meta, ts, cols, last_lsn)
+        match pipe.try_enqueue(job) {
+            Ok(()) => {
+                self.obs.queue_enqueued.inc();
+                self.obs.queue_depth.set(pipe.pending_len() as i64);
+                None
+            }
+            Err(job) => {
+                self.obs.queue_fallback.inc();
+                Some(job)
+            }
+        }
     }
 
-    /// MG counterpart of [`OdhTable::dispatch_source_seal`].
-    fn dispatch_mg_seal(
-        &self,
-        group: GroupId,
-        ts: Vec<i64>,
-        ids: Vec<SourceId>,
-        cols: Vec<Vec<Option<f64>>>,
-        first_lsn: u64,
-        last_lsn: u64,
-    ) -> Result<()> {
-        let (ts, ids, cols) = match self.seal_pipe.get() {
-            Some(pipe) => {
-                match pipe.try_enqueue(PendingSeal::mg(group, ts, ids, cols, first_lsn, last_lsn)) {
-                    Ok(()) => {
-                        self.obs.queue_enqueued.inc();
-                        self.obs.queue_depth.set(pipe.pending_len() as i64);
-                        return Ok(());
-                    }
-                    Err(job) => {
-                        self.obs.queue_fallback.inc();
-                        (job.ts, job.ids, job.cols)
-                    }
-                }
-            }
-            None => (ts, ids, cols),
+    /// Seal a job on this thread (if there is one): encode, then install
+    /// in its key's turn.
+    fn seal_inline(&self, job: Option<PendingSeal>) -> Result<()> {
+        let Some(job) = job else {
+            return Ok(());
         };
-        self.seal_mg_batch(group, ts, ids, cols, last_lsn)
+        let _span = self.obs.registry.span("seal", &self.obs.seal);
+        let (kind, last_lsn, turn) = (job.kind, job.last_lsn, job.turn);
+        // Encode before waiting for the turn; the turn is held (and so
+        // released) on every path from here, failed encodes included.
+        let built = match kind {
+            JobKind::Source { source, meta } => {
+                self.build_source_batches(source, meta, job.ts, job.cols)
+            }
+            JobKind::Mg { group } => self
+                .build_mg_batch(group, job.ts, job.ids, job.cols)
+                .map(|b| b.into_iter().collect()),
+        };
+        let _turn = self.seal_pipe.get().map(|p| p.wait_turn(kind.key(), turn));
+        self.install_marked(kind, last_lsn, &built?, || {})
+    }
+
+    /// Install `built` and advance `kind`'s seal mark to `last_lsn` under
+    /// one image-gate hold and seal ticket: neither a reader's validated
+    /// pass nor a checkpoint capture can see the batches without the mark
+    /// that covers them. `retire` runs in between (the pipeline's
+    /// pending-set removal). The caller holds the key's install turn.
+    fn install_marked(
+        &self,
+        kind: JobKind,
+        last_lsn: u64,
+        built: &[BuiltBatch],
+        retire: impl FnOnce(),
+    ) -> Result<()> {
+        let _image = self.image_gate.read();
+        let _t = self.seals.begin();
+        self.install_built(built)?;
+        retire();
+        #[cfg(test)]
+        self.stall_at(Stall::Installed);
+        match kind {
+            JobKind::Source { source, .. } => self.registry.advance_sealed(source.0, last_lsn),
+            JobKind::Mg { group } => self.registry.advance_mg_sealed(group.0, last_lsn),
+        }
+        Ok(())
     }
 
     /// Start the off-thread seal pipeline: `seal_workers` threads that
@@ -1256,36 +1342,26 @@ impl OdhTable {
     }
 
     /// Worker body: encode the job's rows into serialized batches (slow,
-    /// no ticket), then install them and retire the job from the pending
-    /// set under one short seal ticket — to readers the rows move from
-    /// "pending" to "sealed" atomically.
+    /// no ticket), then install them, retire the job from the pending set
+    /// and advance its seal mark under one short seal ticket — to readers
+    /// the rows move from "pending" to "sealed" atomically. The pipeline
+    /// hands a worker only a job whose install turn has come.
     fn process_seal_job(&self, pipe: &SealPipeline, job: &PendingSeal) -> Result<()> {
         self.obs.queue_wait.record(job.enqueued_at.elapsed().as_nanos() as u64);
         let _span = self.obs.registry.span("seal", &self.obs.seal);
-        match job.kind {
+        let _turn = pipe.wait_turn(job.kind.key(), job.turn);
+        let built = match job.kind {
             JobKind::Source { source, meta } => {
-                let batches =
-                    self.build_source_batches(source, meta, job.ts.clone(), job.cols.clone())?;
-                {
-                    let _t = self.seals.begin();
-                    self.install_built(&batches)?;
-                    pipe.remove_pending(job.id);
-                }
-                self.advance_sealed(source, job.last_lsn);
+                self.build_source_batches(source, meta, job.ts.clone(), job.cols.clone())?
             }
-            JobKind::Mg { group } => {
-                let batch =
-                    self.build_mg_batch(group, job.ts.clone(), job.ids.clone(), job.cols.clone())?;
-                {
-                    let _t = self.seals.begin();
-                    if let Some(b) = &batch {
-                        self.install_built(std::slice::from_ref(b))?;
-                    }
-                    pipe.remove_pending(job.id);
-                }
-                self.advance_mg_sealed(group, job.last_lsn);
-            }
-        }
+            JobKind::Mg { group } => self
+                .build_mg_batch(group, job.ts.clone(), job.ids.clone(), job.cols.clone())?
+                .into_iter()
+                .collect(),
+        };
+        #[cfg(test)]
+        self.stall_at(Stall::Encoded);
+        self.install_marked(job.kind, job.last_lsn, &built, || pipe.remove_pending(job.id))?;
         self.obs.queue_depth.set(pipe.pending_len() as i64);
         Ok(())
     }
@@ -1295,42 +1371,6 @@ impl OdhTable {
     /// not yet in a container).
     fn pending_seals(&self) -> Vec<Arc<PendingSeal>> {
         self.seal_pipe.get().map(|p| p.pending_snapshot()).unwrap_or_default()
-    }
-
-    /// Seal a per-source buffer inline: build then install on this thread.
-    /// `last_lsn` is the WAL LSN of the newest row being sealed (0 without
-    /// a WAL): once the batch lands in its container the source's sealed
-    /// low-water mark advances so recovery never replays these rows a
-    /// second time.
-    fn seal_source_batch(
-        &self,
-        source: SourceId,
-        meta: SourceMeta,
-        ts: Vec<i64>,
-        cols: Vec<Vec<Option<f64>>>,
-        last_lsn: u64,
-    ) -> Result<()> {
-        let _span = self.obs.registry.span("seal", &self.obs.seal);
-        let batches = self.build_source_batches(source, meta, ts, cols)?;
-        self.install_built(&batches)?;
-        self.advance_sealed(source, last_lsn);
-        Ok(())
-    }
-
-    fn seal_mg_batch(
-        &self,
-        group: GroupId,
-        ts: Vec<i64>,
-        ids: Vec<SourceId>,
-        cols: Vec<Vec<Option<f64>>>,
-        last_lsn: u64,
-    ) -> Result<()> {
-        let _span = self.obs.registry.span("seal", &self.obs.seal);
-        if let Some(b) = self.build_mg_batch(group, ts, ids, cols)? {
-            self.install_built(std::slice::from_ref(&b))?;
-        }
-        self.advance_mg_sealed(group, last_lsn);
-        Ok(())
     }
 
     /// Encode one source's rows into serialized RTS batches (splitting at
@@ -1463,15 +1503,6 @@ impl OdhTable {
             g.insert(&b.key, &b.bytes, b.span)?;
         }
         Ok(())
-    }
-
-    /// Advance a source's sealed low-water mark (recovery idempotence).
-    fn advance_sealed(&self, source: SourceId, last_lsn: u64) {
-        self.registry.advance_sealed(source.0, last_lsn);
-    }
-
-    fn advance_mg_sealed(&self, group: GroupId, last_lsn: u64) {
-        self.registry.advance_mg_sealed(group.0, last_lsn);
     }
 
     /// Drain the thread-local codec tallies accumulated while encoding
@@ -2237,6 +2268,140 @@ mod tests {
         let meter = ResourceMeter::unmetered();
         let schema = SchemaType::new("env", ["temperature", "wind"]);
         OdhTable::create(pool, meter, TableConfig::new(schema).with_batch_size(b)).unwrap()
+    }
+
+    /// A batch-size-4 table logging to a fresh in-memory WAL, with one
+    /// irregular source; its frames take LSNs 1 (table) and 2 (source),
+    /// so its n-th point gets LSN n + 2.
+    fn wal_table(workers: usize, queue_depth: usize) -> Arc<OdhTable> {
+        let pool = BufferPool::new(Arc::new(MemDisk::new()), 512);
+        let meter = ResourceMeter::unmetered();
+        let cfg = TableConfig::new(SchemaType::new("env", ["t"]))
+            .with_batch_size(4)
+            .with_seal_workers(workers)
+            .with_seal_queue_depth(queue_depth);
+        let t = Arc::new(OdhTable::create(pool, meter.clone(), cfg).unwrap());
+        let log = Arc::new(odh_pager::log::MemLog::new());
+        t.attach_wal(Wal::create(log, meter).unwrap(), 0, true).unwrap();
+        t.start_seal_pipeline();
+        t.register_source(SourceId(1), SourceClass::irregular_high()).unwrap();
+        t
+    }
+
+    fn put_point(t: &OdhTable, i: i64) {
+        t.put(&Record::dense(SourceId(1), Timestamp(i), [i as f64])).unwrap();
+    }
+
+    /// Sealed batches an image holds, and whether its marks cover the
+    /// source's `lsn`.
+    fn image_state(snap: &crate::TableSnapshot, lsn: u64) -> (u64, bool) {
+        (snap.irts.heap.records, snap.seal_marks().covers(SourceId(1), false, lsn))
+    }
+
+    #[test]
+    fn no_capture_sees_a_worker_install_before_its_seal_mark() {
+        let t = wal_table(1, 8);
+        let outcome = Arc::new(parking_lot::Mutex::new(None));
+        let seen = outcome.clone();
+        t.set_stall(move |table, at| {
+            if at != Stall::Installed {
+                return;
+            }
+            // The worker has installed the batch (LSNs 3..=6) and not yet
+            // advanced the mark. A capture possible now would hold the
+            // batch without the mark that covers it.
+            let capture = match (table.compact_lock.try_lock(), table.image_gate.try_write()) {
+                (Some(c), Some(i)) => {
+                    let freeze = TableFreeze { table, _compact: c, _installs: i };
+                    Some(image_state(&freeze.snapshot().unwrap(), 6))
+                }
+                _ => None,
+            };
+            *seen.lock() = Some(capture);
+        });
+        for i in 0..4 {
+            put_point(&t, i);
+        }
+        t.drain_seals().unwrap();
+        assert_eq!(*outcome.lock(), Some(None), "the install held the image still until its mark");
+        let snap = t.snapshot().unwrap();
+        assert_eq!(image_state(&snap, 6), (1, true));
+    }
+
+    #[test]
+    fn a_sources_batches_install_in_take_order_across_workers() {
+        install_order_holds(2, 8);
+    }
+
+    #[test]
+    fn an_inline_fallback_seal_waits_for_the_queued_batches_before_it() {
+        // One worker, a one-job queue: the first batch is held by the
+        // worker, the second queues, the third falls back inline.
+        install_order_holds(1, 1);
+    }
+
+    /// Seal three batches of one source (LSNs 3..=6, 7..=10, 11..=14)
+    /// while the first is held after encoding, and check each install
+    /// found the mark its predecessor left.
+    fn install_order_holds(workers: usize, queue_depth: usize) {
+        let t = wal_table(workers, queue_depth);
+        let marks = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (installed_tx, installed_rx) = std::sync::mpsc::channel();
+        let installed_rx = parking_lot::Mutex::new(installed_rx);
+        let first = std::sync::atomic::AtomicBool::new(true);
+        let seen = marks.clone();
+        t.set_stall(move |table, at| match at {
+            // Hold the first job once encoded, long enough for a later
+            // one to install if it were allowed to overtake.
+            Stall::Encoded if first.swap(false, std::sync::atomic::Ordering::SeqCst) => {
+                let _ = installed_rx.lock().recv_timeout(std::time::Duration::from_millis(300));
+            }
+            Stall::Installed => {
+                seen.lock().push(table.registry.sealed_lsn(1));
+                let _ = installed_tx.send(());
+            }
+            _ => {}
+        });
+        for i in 0..12 {
+            put_point(&t, i);
+        }
+        t.drain_seals().unwrap();
+        // No batch raised the mark over an earlier one still queued.
+        assert_eq!(*marks.lock(), vec![0, 6, 10]);
+        assert_eq!(image_state(&t.snapshot().unwrap(), 14), (3, true));
+    }
+
+    #[test]
+    fn a_seal_racing_a_capture_lands_wholly_before_or_after_it() {
+        let t = wal_table(0, 8);
+        for i in 0..7 {
+            put_point(&t, i); // one batch sealed (LSNs 3..=6), three rows open
+        }
+        let fired = std::sync::atomic::AtomicBool::new(false);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let done_rx = parking_lot::Mutex::new(done_rx);
+        let sealer = Arc::new(parking_lot::Mutex::new(None));
+        let (racer, spawned) = (t.clone(), sealer.clone());
+        t.set_stall(move |_, at| {
+            if at != Stall::MarksCaptured || fired.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                return;
+            }
+            // Between the mark read and the container read, another thread
+            // fills the open buffer and seals it inline (LSNs 7..=10). Give
+            // it ample time to finish if nothing holds it back.
+            let (racer, tx) = (racer.clone(), done_tx.clone());
+            *spawned.lock() = Some(std::thread::spawn(move || {
+                put_point(&racer, 7);
+                tx.send(()).unwrap();
+            }));
+            let _ = done_rx.lock().recv_timeout(std::time::Duration::from_millis(300));
+        });
+        let snap = t.snapshot().unwrap();
+        sealer.lock().take().expect("the capture stalled once").join().unwrap();
+        let (batches, covered) = image_state(&snap, 10);
+        assert_eq!((batches, covered), (1, false), "the racing seal waited for the capture");
+        assert!(snap.seal_marks().covers(SourceId(1), false, 6));
+        assert_eq!(image_state(&t.snapshot().unwrap(), 10), (2, true));
     }
 
     fn put_regular(t: &OdhTable, src: u64, n: usize, period_us: i64) {

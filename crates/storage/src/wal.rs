@@ -27,11 +27,14 @@
 //!   per-source LSN order equals buffer order equals arrival order. File
 //!   order is *not* LSN order (stripes flush independently); recovery
 //!   sorts frames by LSN before replay.
-//! - **Recovery.** [`Wal::open`] scans the log once, stops at the first
-//!   torn or corrupt frame, truncates the log back to the last good byte,
-//!   and hands the parsed frames to the server for idempotent replay.
-//! - **Checkpoints.** [`Wal::truncate_through`] drops every frame at or
-//!   below the checkpoint's low-water-mark LSN and keeps the tail.
+//! - **Recovery.** [`Wal::open`] scans the log once — length, CRC and
+//!   body shape per frame, nothing decoded — stops at the first torn or
+//!   malformed frame, truncates the log back to the last good byte, and
+//!   hands the server an LSN-sorted index over the log bytes. Replay
+//!   reads a frame's kind, table and source in place and decodes only the
+//!   frames it applies.
+//! - **Checkpoints.** [`Wal::retain`] rewrites the log keeping the frames
+//!   the checkpoint image does not hold, through the same scan.
 
 use crate::delete::DeletePredicate;
 use crate::snapshot::TableConfigSnapshot;
@@ -59,7 +62,7 @@ const KIND_SOURCE: u8 = 3;
 const KIND_DELETE: u8 = 4;
 const KIND_LATE_POINT: u8 = 5;
 
-/// One recovered WAL entry.
+/// One decoded WAL entry (see [`WalFrame::entry`]).
 #[derive(Debug, Clone)]
 pub enum WalEntry {
     Point {
@@ -89,21 +92,96 @@ pub enum WalEntry {
     },
 }
 
-/// A parsed frame: the entry plus its LSN.
-#[derive(Debug, Clone)]
-pub struct WalFrame {
+/// One recovered frame, borrowed from the log bytes. Nothing is decoded
+/// until asked: the kind, table and point source are fixed-offset reads,
+/// so replay can decide to skip a frame without building anything.
+#[derive(Debug, Clone, Copy)]
+pub struct WalFrame<'a> {
     pub lsn: u64,
-    pub entry: WalEntry,
+    kind: u8,
+    body: &'a [u8],
 }
 
-/// What [`Wal::open`] found.
+impl WalFrame<'_> {
+    /// The table id every frame body starts with (the scan guarantees
+    /// the bytes exist).
+    pub fn table(&self) -> u16 {
+        u16::from_le_bytes([self.body[0], self.body[1]])
+    }
+
+    /// For a point frame, its source and whether it is a late point;
+    /// `None` for every other kind.
+    pub fn point_source(&self) -> Option<(SourceId, bool)> {
+        let late = match self.kind {
+            KIND_POINT => false,
+            KIND_LATE_POINT => true,
+            _ => return None,
+        };
+        Some((SourceId(u64::from_le_bytes(self.body[2..10].try_into().unwrap())), late))
+    }
+
+    /// Is this a predicate-delete frame?
+    pub fn is_delete(&self) -> bool {
+        self.kind == KIND_DELETE
+    }
+
+    /// Decode a point frame's source, timestamp and values into `row`,
+    /// reusing its value allocation.
+    pub fn decode_point_into(&self, row: &mut Record) -> Result<()> {
+        decode_point_body(self.body, row).map(drop)
+    }
+
+    /// Decode the whole entry.
+    pub fn entry(&self) -> Result<WalEntry> {
+        decode_entry(self.kind, self.body)
+    }
+}
+
+/// Where one well-formed frame sits in the log: its LSN, its first byte
+/// (the length prefix) and its payload length.
+#[derive(Debug, Clone, Copy)]
+struct FrameRef {
+    lsn: u64,
+    off: usize,
+    len: u32,
+}
+
+impl FrameRef {
+    fn end(&self) -> usize {
+        self.off + 8 + self.len as usize
+    }
+
+    fn frame<'a>(&self, bytes: &'a [u8]) -> WalFrame<'a> {
+        let payload = &bytes[self.off + 8..self.end()];
+        WalFrame { lsn: self.lsn, kind: payload[8], body: &payload[9..] }
+    }
+}
+
+/// What [`Wal::open`] found: the log bytes plus an LSN-sorted index of
+/// their well-formed frames.
 pub struct WalRecovery {
-    /// All valid frames, sorted by LSN (replay order).
-    pub frames: Vec<WalFrame>,
+    bytes: Vec<u8>,
+    index: Vec<FrameRef>,
     /// Bytes cut off the tail (torn/corrupt frames).
     pub truncated_bytes: u64,
     /// Human-readable note when the tail was truncated.
     pub warning: Option<String>,
+}
+
+impl WalRecovery {
+    /// Number of surviving frames.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// The surviving frames in LSN (replay) order.
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = WalFrame<'_>> + '_ {
+        self.index.iter().map(|r| r.frame(&self.bytes))
+    }
 }
 
 /// Aggregate WAL counters (for benches and the resource model).
@@ -145,6 +223,10 @@ struct WalObs {
     /// hot path pays no clock reads on the other appends.
     append_hist: Arc<odh_obs::Histogram>,
     fsync_hist: Arc<odh_obs::Histogram>,
+    /// Log size in bytes, summed over every WAL sharing the registry:
+    /// each WAL publishes the delta against what it last reported.
+    log_bytes: Arc<odh_obs::Gauge>,
+    published_log_bytes: std::sync::atomic::AtomicI64,
 }
 
 /// Sample rate for append-latency spans (power of two; the stripe-local
@@ -161,6 +243,8 @@ impl WalObs {
             syncs: registry.counter("odh_wal_syncs_total", &[]),
             append_hist: registry.histogram("odh_wal_append_seconds", &[]),
             fsync_hist: registry.histogram("odh_wal_fsync_seconds", &[]),
+            log_bytes: registry.gauge("odh_wal_log_bytes", &[]),
+            published_log_bytes: std::sync::atomic::AtomicI64::new(0),
             registry,
         }
     }
@@ -193,14 +277,15 @@ impl Wal {
         Ok(Arc::new(Wal::with_state(log, meter, 1, 0)))
     }
 
-    /// Reopen an existing log: parse every frame, truncate a torn or
-    /// corrupt tail, and return the surviving frames sorted by LSN.
+    /// Reopen an existing log: index every well-formed frame, truncate a
+    /// torn or corrupt tail, and return the survivors sorted by LSN.
+    /// Frames stay undecoded bytes until replay asks for them.
     pub fn open(
         log: Arc<dyn LogStore>,
         meter: Arc<ResourceMeter>,
     ) -> Result<(Arc<Wal>, WalRecovery)> {
         let bytes = log.read_all()?;
-        let (mut frames, good_len, reason) = parse_frames(&bytes);
+        let (mut index, good_len, reason) = scan(&bytes);
         let truncated = (bytes.len() - good_len) as u64;
         let warning = if truncated > 0 {
             let w = format!(
@@ -213,10 +298,12 @@ impl Wal {
         } else {
             None
         };
-        frames.sort_by_key(|f| f.lsn);
-        let max_lsn = frames.last().map(|f| f.lsn).unwrap_or(0);
+        // LSNs are unique, so an unstable sort replays the same order.
+        index.sort_unstable_by_key(|f| f.lsn);
+        let max_lsn = index.last().map(|f| f.lsn).unwrap_or(0);
         let wal = Arc::new(Wal::with_state(log, meter, max_lsn + 1, max_lsn));
-        Ok((wal, WalRecovery { frames, truncated_bytes: truncated, warning }))
+        wal.publish_log_bytes();
+        Ok((wal, WalRecovery { bytes, index, truncated_bytes: truncated, warning }))
     }
 
     fn with_state(
@@ -436,7 +523,15 @@ impl Wal {
         self.meter.wal_write(s.buf.len());
         let r = self.log.append(&s.buf);
         s.buf.clear();
+        self.publish_log_bytes();
         r
+    }
+
+    /// Bring the `odh_wal_log_bytes` gauge up to this log's current size.
+    fn publish_log_bytes(&self) {
+        let now = self.log.len() as i64;
+        let prev = self.obs.published_log_bytes.swap(now, Ordering::Relaxed);
+        self.obs.log_bytes.add(now - prev);
     }
 
     /// Flush every stripe and fsync the log. Returns the durable LSN: every
@@ -468,27 +563,35 @@ impl Wal {
         self.durable_lsn.load(Ordering::Acquire)
     }
 
-    /// Drop every frame with `lsn <= low_water` and keep the tail — the
-    /// checkpoint's log truncation. Appends are blocked for the duration
-    /// (all stripe locks are held). The rewrite is not atomic; a crash in
-    /// the middle can lose tail frames, which is why the server only calls
-    /// this *after* the checkpoint image (covering those frames) is
-    /// durable, and why the common offline-checkpoint case (`low_water ==
-    /// max_lsn`) reduces to a single truncate-to-zero.
+    /// Drop every frame with `lsn <= low_water` and keep the tail.
     pub fn truncate_through(&self, low_water: u64) -> Result<()> {
+        self.retain(|f| f.lsn > low_water)
+    }
+
+    /// Rewrite the log keeping only the frames `keep` accepts, in file
+    /// order — the checkpoint's log truncation. Appends are blocked for
+    /// the duration (all stripe locks are held). The rewrite is not
+    /// atomic; a crash in the middle can lose kept frames, which is why
+    /// the server only calls this *after* the checkpoint image (covering
+    /// every dropped frame) is durable, and why dropping everything
+    /// reduces to a single truncate-to-zero.
+    pub fn retain(&self, mut keep: impl FnMut(&WalFrame<'_>) -> bool) -> Result<()> {
         let mut guards: Vec<MutexGuard<'_, Stripe>> =
             self.stripes.iter().map(|s| s.lock()).collect();
         for g in guards.iter_mut() {
             self.flush_stripe(g)?;
         }
         let bytes = self.log.read_all()?;
-        let (frames, good_len, _) = parse_frames_raw(&bytes);
+        let (index, good_len, _) = scan(&bytes);
         debug_assert_eq!(good_len, bytes.len(), "wal must be fully valid before truncation");
         let mut kept = Vec::new();
-        for (frame, range) in frames {
-            if frame.lsn > low_water {
-                kept.extend_from_slice(&bytes[range]);
+        for r in &index {
+            if keep(&r.frame(&bytes)) {
+                kept.extend_from_slice(&bytes[r.off..r.end()]);
             }
+        }
+        if kept.len() == bytes.len() {
+            return Ok(());
         }
         self.log.set_len(0)?;
         if !kept.is_empty() {
@@ -496,6 +599,7 @@ impl Wal {
             self.log.append(&kept)?;
         }
         self.log.sync()?;
+        self.publish_log_bytes();
         Ok(())
     }
 
@@ -520,58 +624,86 @@ impl Wal {
     }
 }
 
-/// A decoded frame together with the byte range it occupied in the log.
-type RangedFrame = (WalFrame, std::ops::Range<usize>);
+impl Drop for Wal {
+    fn drop(&mut self) {
+        self.obs.log_bytes.add(-self.obs.published_log_bytes.swap(0, Ordering::Relaxed));
+    }
+}
 
-/// Parse frames with their byte ranges; returns `(frames, good_len,
-/// reason)` where `good_len` is the offset of the first invalid byte.
-fn parse_frames_raw(bytes: &[u8]) -> (Vec<RangedFrame>, usize, Option<String>) {
-    let mut frames = Vec::new();
+/// Walk `bytes` once, checking each frame's length, CRC and body shape
+/// without decoding it. Returns the well-formed prefix's frames in file
+/// order, the offset of the first byte past that prefix, and why the walk
+/// stopped there (`None` at a clean end).
+fn scan(bytes: &[u8]) -> (Vec<FrameRef>, usize, Option<String>) {
+    let mut index = Vec::new();
     let mut off = 0usize;
     let reason;
     loop {
-        if off + 8 > bytes.len() {
-            reason = if off == bytes.len() { None } else { Some("partial frame header".into()) };
+        let Some(header) = bytes.get(off..off + 8) else {
+            reason = (off != bytes.len()).then(|| "partial frame header".to_string());
             break;
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
+        };
+        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
         if !(9..=MAX_FRAME).contains(&len) {
             reason = Some(format!("implausible frame length {len}"));
             break;
         }
-        if off + 8 + len > bytes.len() {
+        let Some(payload) = bytes.get(off + 8..off + 8 + len) else {
             reason = Some("partial frame payload".into());
             break;
-        }
-        let payload = &bytes[off + 8..off + 8 + len];
+        };
         if crc32(payload) != crc {
             reason = Some("crc mismatch".into());
             break;
         }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        match decode_entry(payload[8], &payload[9..]) {
-            Ok(entry) => frames.push((WalFrame { lsn, entry }, off..off + 8 + len)),
-            Err(e) => {
-                reason = Some(format!("undecodable frame: {e}"));
-                break;
-            }
+        if let Err(e) = check_body(payload[8], &payload[9..]) {
+            reason = Some(format!("undecodable frame: {e}"));
+            break;
         }
+        let lsn = u64::from_le_bytes(payload[..8].try_into().unwrap());
+        index.push(FrameRef { lsn, off, len: len as u32 });
         off += 8 + len;
     }
-    (frames, off, reason)
+    (index, off, reason)
 }
 
-fn parse_frames(bytes: &[u8]) -> (Vec<WalFrame>, usize, Option<String>) {
-    let (raw, good, reason) = parse_frames_raw(bytes);
-    (raw.into_iter().map(|(f, _)| f).collect(), good, reason)
+fn truncated_body() -> OdhError {
+    OdhError::Corrupt("wal: truncated frame body".into())
 }
 
-/// Decode the shared `Point`/`LatePoint` frame body.
-fn decode_point_body(body: &[u8]) -> Result<(u16, Record)> {
-    let short = || OdhError::Corrupt("wal: truncated frame body".into());
+/// The scan's body check: a point body must hold its header, bitmap and
+/// one value per set bit (allocation-free); the rare JSON-bodied kinds
+/// are decoded and dropped, so the same bytes that fail replay's decode
+/// fail here.
+fn check_body(kind: u8, body: &[u8]) -> Result<()> {
+    match kind {
+        KIND_POINT | KIND_LATE_POINT => {
+            let n = body.get(18..20).map(|b| u16::from_le_bytes([b[0], b[1]]) as usize);
+            let bitmap = n.and_then(|n| body.get(20..20 + n.div_ceil(8)).map(|bm| (n, bm)));
+            let (n, bitmap) = bitmap.ok_or_else(truncated_body)?;
+            let present: usize = bitmap
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| {
+                    let bits = (n - 8 * i).min(8);
+                    (b & (0xFFu16 >> (8 - bits)) as u8).count_ones() as usize
+                })
+                .sum();
+            if body.len() < 20 + bitmap.len() + 8 * present {
+                return Err(truncated_body());
+            }
+            Ok(())
+        }
+        _ => decode_entry(kind, body).map(drop),
+    }
+}
+
+/// Decode the shared `Point`/`LatePoint` frame body into `row`, reusing
+/// its value vector; returns the table id.
+fn decode_point_body(body: &[u8], row: &mut Record) -> Result<u16> {
     if body.len() < 20 {
-        return Err(short());
+        return Err(truncated_body());
     }
     let table = u16::from_le_bytes(body[0..2].try_into().unwrap());
     let source = u64::from_le_bytes(body[2..10].try_into().unwrap());
@@ -579,34 +711,40 @@ fn decode_point_body(body: &[u8]) -> Result<(u16, Record)> {
     let n = u16::from_le_bytes(body[18..20].try_into().unwrap()) as usize;
     let bm_len = n.div_ceil(8);
     if body.len() < 20 + bm_len {
-        return Err(short());
+        return Err(truncated_body());
     }
     let bitmap = &body[20..20 + bm_len];
-    let mut values = Vec::with_capacity(n);
+    row.source = SourceId(source);
+    row.ts = Timestamp(ts);
+    row.values.clear();
     let mut voff = 20 + bm_len;
     for i in 0..n {
         if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-            if body.len() < voff + 8 {
-                return Err(short());
-            }
-            values.push(Some(f64::from_le_bytes(body[voff..voff + 8].try_into().unwrap())));
+            let Some(v) = body.get(voff..voff + 8) else {
+                return Err(truncated_body());
+            };
+            row.values.push(Some(f64::from_le_bytes(v.try_into().unwrap())));
             voff += 8;
         } else {
-            values.push(None);
+            row.values.push(None);
         }
     }
-    Ok((table, Record::new(SourceId(source), Timestamp(ts), values)))
+    Ok(table)
 }
 
 fn decode_entry(kind: u8, body: &[u8]) -> Result<WalEntry> {
-    let short = || OdhError::Corrupt("wal: truncated frame body".into());
+    let short = truncated_body;
+    let point = |body| {
+        let mut record = Record::new(SourceId(0), Timestamp(0), Vec::new());
+        decode_point_body(body, &mut record).map(|table| (table, record))
+    };
     match kind {
         KIND_POINT => {
-            let (table, record) = decode_point_body(body)?;
+            let (table, record) = point(body)?;
             Ok(WalEntry::Point { table, record })
         }
         KIND_LATE_POINT => {
-            let (table, record) = decode_point_body(body)?;
+            let (table, record) = point(body)?;
             Ok(WalEntry::LatePoint { table, record })
         }
         KIND_DELETE => {
@@ -708,6 +846,11 @@ mod tests {
         (log, wal)
     }
 
+    /// Every surviving frame, decoded, in replay order.
+    fn entries(rec: &WalRecovery) -> Vec<(u64, WalEntry)> {
+        rec.frames().map(|f| (f.lsn, f.entry().unwrap())).collect()
+    }
+
     fn point(src: u64, ts: i64) -> Record {
         Record::new(SourceId(src), Timestamp(ts), vec![Some(ts as f64), None, Some(-1.0)])
     }
@@ -732,18 +875,22 @@ mod tests {
         assert_eq!(wal.durable_lsn(), 12);
 
         let (wal2, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
-        assert_eq!(rec.frames.len(), 12);
+        let frames = entries(&rec);
+        assert_eq!(frames.len(), 12);
         assert!(rec.warning.is_none());
-        assert!(rec.frames.windows(2).all(|w| w[0].lsn < w[1].lsn));
+        assert!(frames.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(wal2.max_lsn(), 12);
-        match &rec.frames[0].entry {
+        match &frames[0].1 {
             WalEntry::TableDef { table, config } => {
                 assert_eq!(*table, 3);
                 assert_eq!(config.schema.name, "m");
             }
             e => panic!("expected table def, got {e:?}"),
         }
-        match &rec.frames[5].entry {
+        let head = rec.frames().nth(5).unwrap();
+        assert_eq!(head.table(), 3);
+        assert_eq!(head.point_source(), Some((SourceId(7), false)));
+        match &frames[5].1 {
             WalEntry::Point { table, record } => {
                 assert_eq!(*table, 3);
                 assert_eq!(record.ts, Timestamp(3));
@@ -762,8 +909,11 @@ mod tests {
         wal.append_delete(4, &DeletePredicate::all_sources(i64::MIN, 0)).unwrap();
         wal.sync().unwrap();
         let (_, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
-        assert_eq!(rec.frames.len(), 3);
-        match &rec.frames[0].entry {
+        let frames = entries(&rec);
+        assert_eq!(frames.len(), 3);
+        assert_eq!(rec.frames().next().unwrap().point_source(), Some((SourceId(7), true)));
+        assert_eq!(rec.frames().nth(1).unwrap().point_source(), None);
+        match &frames[0].1 {
             WalEntry::LatePoint { table, record } => {
                 assert_eq!(*table, 3);
                 assert_eq!(record.source, SourceId(7));
@@ -771,14 +921,14 @@ mod tests {
             }
             e => panic!("expected late point, got {e:?}"),
         }
-        match &rec.frames[1].entry {
+        match &frames[1].1 {
             WalEntry::Delete { table, predicate } => {
                 assert_eq!(*table, 3);
                 assert_eq!(*predicate, pred);
             }
             e => panic!("expected delete, got {e:?}"),
         }
-        match &rec.frames[2].entry {
+        match &frames[2].1 {
             WalEntry::Delete { predicate, .. } => assert_eq!(predicate.sources, None),
             e => panic!("expected delete, got {e:?}"),
         }
@@ -810,7 +960,7 @@ mod tests {
         // A torn frame: header promising more bytes than exist.
         log.append(&[64, 0, 0, 0, 1, 2, 3, 4, 9, 9]).unwrap();
         let (_, rec) = Wal::open(log.clone(), ResourceMeter::unmetered()).unwrap();
-        assert_eq!(rec.frames.len(), 5);
+        assert_eq!(rec.len(), 5);
         assert_eq!(rec.truncated_bytes, 10);
         assert!(rec.warning.is_some());
         assert_eq!(log.len(), good, "log physically truncated to last good frame");
@@ -827,7 +977,7 @@ mod tests {
         let frame_len = log.len() / 8;
         log.flip_bit(5 * frame_len + 10);
         let (_, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
-        assert_eq!(rec.frames.len(), 5);
+        assert_eq!(rec.len(), 5);
         assert!(rec.warning.unwrap().contains("crc"));
     }
 
@@ -840,7 +990,7 @@ mod tests {
         wal.sync().unwrap();
         wal.truncate_through(7).unwrap();
         let (_, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
-        let lsns: Vec<u64> = rec.frames.iter().map(|f| f.lsn).collect();
+        let lsns: Vec<u64> = rec.frames().map(|f| f.lsn).collect();
         assert_eq!(lsns, vec![8, 9, 10]);
         // New appends continue above the old maximum.
         assert_eq!(wal.append_point(0, &point(4, 99)).unwrap(), 11);
@@ -864,14 +1014,73 @@ mod tests {
         wal.append_point(0, &Record::new(SourceId(1), Timestamp(6), vec![])).unwrap();
         wal.sync().unwrap();
         let (_, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
-        match &rec.frames[0].entry {
+        let frames = entries(&rec);
+        match &frames[0].1 {
             WalEntry::Point { record, .. } => assert_eq!(record.values, vec![None, None]),
             e => panic!("{e:?}"),
         }
-        match &rec.frames[1].entry {
+        match &frames[1].1 {
             WalEntry::Point { record, .. } => assert!(record.values.is_empty()),
             e => panic!("{e:?}"),
         }
+    }
+
+    #[test]
+    fn scratch_decode_reuses_the_row() {
+        let (log, wal) = mem_wal();
+        wal.append_point(2, &point(5, 10)).unwrap();
+        wal.append_point(2, &Record::new(SourceId(6), Timestamp(11), vec![None])).unwrap();
+        wal.sync().unwrap();
+        let (_, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
+        let mut row = Record::new(SourceId(0), Timestamp(0), Vec::new());
+        let mut frames = rec.frames();
+        frames.next().unwrap().decode_point_into(&mut row).unwrap();
+        assert_eq!(row, point(5, 10));
+        frames.next().unwrap().decode_point_into(&mut row).unwrap();
+        assert_eq!(row, Record::new(SourceId(6), Timestamp(11), vec![None]));
+    }
+
+    #[test]
+    fn point_with_missing_values_stops_the_scan() {
+        let (log, wal) = mem_wal();
+        for i in 0..3i64 {
+            wal.append_point(0, &point(3, i)).unwrap();
+        }
+        wal.sync().unwrap();
+        let good = log.len();
+        // A CRC-valid frame whose bitmap promises two values but carries one.
+        let mut payload = 99u64.to_le_bytes().to_vec();
+        payload.push(KIND_POINT);
+        payload.extend_from_slice(&0u16.to_le_bytes());
+        payload.extend_from_slice(&3u64.to_le_bytes());
+        payload.extend_from_slice(&7i64.to_le_bytes());
+        payload.extend_from_slice(&2u16.to_le_bytes());
+        payload.push(0b11);
+        payload.extend_from_slice(&1.0f64.to_le_bytes());
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        log.append(&frame).unwrap();
+        let (_, rec) = Wal::open(log.clone(), ResourceMeter::unmetered()).unwrap();
+        assert_eq!(rec.len(), 3);
+        assert!(rec.warning.unwrap().contains("undecodable"));
+        assert_eq!(log.len(), good);
+    }
+
+    #[test]
+    fn retain_keeps_exactly_the_accepted_frames() {
+        let (log, wal) = mem_wal();
+        for i in 0..10i64 {
+            wal.append_point(0, &point(i as u64 % 2, i)).unwrap();
+        }
+        wal.sync().unwrap();
+        let before = log.len();
+        wal.retain(|_| true).unwrap();
+        assert_eq!(log.len(), before, "keeping everything leaves the log alone");
+        wal.retain(|f| f.point_source().is_some_and(|(s, _)| s == SourceId(1))).unwrap();
+        let (_, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
+        let lsns: Vec<u64> = rec.frames().map(|f| f.lsn).collect();
+        assert_eq!(lsns, vec![2, 4, 6, 8, 10]);
     }
 
     #[test]

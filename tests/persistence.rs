@@ -176,7 +176,7 @@ fn torn_wal_tail_is_truncated_on_open() {
     drop(wal);
 
     let (wal, recovery) = Wal::open(log.clone(), meter.clone()).unwrap();
-    assert_eq!(recovery.frames.len(), 5, "only complete frames survive");
+    assert_eq!(recovery.len(), 5, "only complete frames survive");
     assert!(recovery.warning.is_some(), "the tear is reported");
     assert!(recovery.truncated_bytes > 0);
     assert_eq!(log.len(), good_len, "log physically truncated to the last good frame");
@@ -186,7 +186,7 @@ fn torn_wal_tail_is_truncated_on_open() {
     drop(wal);
     log.flip_bit(good_len / 2);
     let (_, recovery) = Wal::open(log.clone(), meter).unwrap();
-    assert!(recovery.frames.len() < 5, "frames behind the corruption are dropped");
+    assert!(recovery.len() < 5, "frames behind the corruption are dropped");
     assert!(recovery.warning.is_some());
 }
 
@@ -304,4 +304,136 @@ fn lenient_checkpoint_keeps_buffers_open_and_wal_replays_them() {
     let r = h.sql("select COUNT(*) from m_v where id = 1").unwrap();
     assert_eq!(r.rows[0].get(0), &Datum::I64(7), "buffered points replayed from the WAL");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One source goes quiet with a partly filled buffer while the others
+/// stream across several checkpoints. Its open frames must not pin the
+/// log: after every checkpoint the WAL holds at most the open tails plus
+/// what was appended since the previous checkpoint. A crash then
+/// recovers exactly what a never-crashed server holds.
+#[test]
+fn a_silent_source_does_not_pin_the_wal() {
+    // Every point frame of the one-tag schema: len+crc 8, lsn 8, kind 1,
+    // table 2, source 8, ts 8, count 2, bitmap 1, value 8.
+    const POINT_FRAME: u64 = 46;
+    let meter = ResourceMeter::unmetered();
+    let sources = 6u64;
+    let class = |s: u64| {
+        if s.is_multiple_of(2) {
+            SourceClass::irregular_high()
+        } else {
+            SourceClass::irregular_low()
+        }
+    };
+    let mut records = Vec::new();
+    for i in 0..3i64 {
+        records.push(Record::dense(SourceId(0), Timestamp(1 + i), [i as f64]));
+    }
+    let (disk, log, server) = crash_server(&meter);
+    let (_, _, reference) = crash_server(&meter);
+    let table = server.create_table(prop_cfg()).unwrap();
+    let ref_table = reference.create_table(prop_cfg()).unwrap();
+    for s in 0..sources {
+        table.register_source(SourceId(s), class(s)).unwrap();
+        ref_table.register_source(SourceId(s), class(s)).unwrap();
+    }
+    for r in &records {
+        table.put(r).unwrap();
+    }
+    let wal = server.wal().unwrap().clone();
+    let mut appended_at_last_checkpoint = wal.stats().bytes_appended;
+    for round in 0..5i64 {
+        for i in 0..10i64 {
+            for s in 1..sources {
+                let ts = 1_000 + round * 100 + i;
+                let r = Record::dense(SourceId(s), Timestamp(ts), [(s as i64 * ts) as f64]);
+                table.put(&r).unwrap();
+                records.push(r);
+            }
+        }
+        server.checkpoint().unwrap();
+        let appended = wal.stats().bytes_appended;
+        let bound =
+            POINT_FRAME * table.buffered_points() + (appended - appended_at_last_checkpoint);
+        assert!(
+            wal.log_bytes() <= bound,
+            "round {round}: log {} B exceeds open tails + new frames {bound} B",
+            wal.log_bytes()
+        );
+        appended_at_last_checkpoint = appended;
+    }
+    assert!(table.buffered_points() >= 3, "source 0's partial buffer is still open");
+    server.sync().unwrap();
+    drop((table, wal, server));
+
+    let server = DataServer::open_with_wal(0, meter.clone(), disk, 512, log).unwrap();
+    let table = server.table("p").unwrap();
+    server.flush().unwrap();
+    for r in &records {
+        ref_table.put(r).unwrap();
+    }
+    reference.flush().unwrap();
+    assert_eq!(scan_all(&server, sources), scan_all(&reference, sources));
+    assert_eq!(
+        table.stats().snapshot().points_ingested,
+        ref_table.stats().snapshot().points_ingested
+    );
+}
+
+/// A crash after a checkpoint's image is durable but before its log
+/// truncation leaves every frame the image already holds in the log —
+/// in-order, MG and late points alike. Replay must skip exactly those
+/// (by the image's seal marks) and re-apply the rest once.
+#[test]
+fn crash_before_checkpoint_truncation_replays_nothing_twice() {
+    let meter = ResourceMeter::unmetered();
+    let sources = 4u64;
+    let class = |s: u64| {
+        if s.is_multiple_of(2) {
+            SourceClass::irregular_high()
+        } else {
+            SourceClass::irregular_low()
+        }
+    };
+    let mut records = Vec::new();
+    for i in 1..=9i64 {
+        for s in 0..sources {
+            records.push(Record::dense(SourceId(s), Timestamp(100 + i), [(s as i64 * i) as f64]));
+        }
+    }
+    // Five rows behind source 0's watermark: one sealed side batch of
+    // four, one late row left open.
+    for i in 0..5i64 {
+        records.push(Record::dense(SourceId(0), Timestamp(10 + i), [-(i as f64)]));
+    }
+    let (disk, log, server) = crash_server(&meter);
+    let (_, _, reference) = crash_server(&meter);
+    let table = server.create_table(prop_cfg()).unwrap();
+    let ref_table = reference.create_table(prop_cfg()).unwrap();
+    for s in 0..sources {
+        table.register_source(SourceId(s), class(s)).unwrap();
+        ref_table.register_source(SourceId(s), class(s)).unwrap();
+    }
+    for r in &records {
+        table.put(r).unwrap();
+        ref_table.put(r).unwrap();
+    }
+    server.sync().unwrap();
+    let untruncated = log.read_all().unwrap();
+    server.checkpoint().unwrap();
+    assert!(log.len() < untruncated.len() as u64, "the checkpoint dropped frames the image holds");
+    drop((table, server));
+    // The crash lands before the truncation reached the medium.
+    log.set_len(0).unwrap();
+    log.append(&untruncated).unwrap();
+
+    let server = DataServer::open_with_wal(0, meter, disk, 512, log).unwrap();
+    let table = server.table("p").unwrap();
+    server.flush().unwrap();
+    reference.flush().unwrap();
+    assert_eq!(scan_all(&server, sources), scan_all(&reference, sources));
+    assert_eq!(
+        table.stats().snapshot().points_ingested,
+        ref_table.stats().snapshot().points_ingested
+    );
 }
